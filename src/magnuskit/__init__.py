@@ -44,7 +44,6 @@ from .magnus import (
     SolvableGroup,
     bilipschitz_check,
     divergence_of,
-    flow_of,
     geodesic_length,
     magnus_embed,
     solvable_conjugacy_test,

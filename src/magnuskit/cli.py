@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import acceptance
 from .config import DEFAULT, RunConfig
@@ -61,7 +60,7 @@ def _load_config(args) -> RunConfig:
             else:
                 base = json.load(fh)
     cfg = RunConfig(**base) if base else DEFAULT
-    for field in ("travel_exact_max", "bfs_cap", "jobs"):
+    for field in ("travel_exact_max", "bfs_cap"):
         val = getattr(args, field, None)
         if val is not None:
             cfg = cfg.with_(**{field: val})
@@ -224,22 +223,7 @@ def cmd_selftest(args, cfg):
                 line = f"\033[31m{line}\033[0m"
         print(line)
 
-    lines = []
-    names_to_run = [n for n, _, _ in acceptance.ACCEPTANCE if names is None or n in names]
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(acceptance.run_check, names_to_run))
-    else:
-        results = [acceptance.run_check(n) for n in names_to_run]
-    ok_all = True
-    for name, (ok, detail, elapsed) in zip(names_to_run, results):
-        budget = next(b for n, _, b in acceptance.ACCEPTANCE if n == name)
-        status = "PASS" if ok else "FAIL"
-        if ok and budget is not None and elapsed > budget:
-            status, ok = "SLOW", False
-            detail += f" (over {budget:.0f}s budget)"
-        report(f"{status}  {name:32s} {elapsed:7.2f}s  {detail}")
-        ok_all = ok_all and ok
+    ok_all = acceptance.run_all(names, report)
     # extra round-trip smoke beyond the criteria proper
     w = FreeWord(2, (1, 2, -1, -2))
     ok_rt = word_from_json(word_to_json(w), 2) == w
@@ -256,7 +240,6 @@ def build_parser():
     top.add_argument("--format", default="csv", choices=("csv", "json", "text"))
     top.add_argument("--travel-exact-max", type=int, dest="travel_exact_max")
     top.add_argument("--bfs-cap", type=int, dest="bfs_cap")
-    top.add_argument("--jobs", type=int, default=None)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fox", help="(projected) derivative of a word")

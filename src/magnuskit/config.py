@@ -25,7 +25,6 @@ class RunConfig:
     walk_node_cap: int = 200_000
     z_scan_slack: int = 0
     seed: int = 0
-    jobs: int = 1
 
     def with_(self, **kw) -> "RunConfig":
         return replace(self, **kw)

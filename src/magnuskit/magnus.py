@@ -7,13 +7,17 @@ of q in the i-th projected Fox derivative of w.  Its kernel is the derived
 subgroup N', so it gives normal forms, equality, exact word length, and a
 conjugacy decision for the free solvable groups S_{r,d} = F/F^(d) through
 the recursion S_{r,d} -> Z^r wr S_{r,d-1} (derived length one is Z^r).
+The image is the one normal form of an element of S_{r,d}: products and
+inverses are computed on images, and a word is embedded only when an
+element is built from it.
 
 The same coordinates, read as a function on Cayley-graph edges, are the
-net edge-traversal flow of the path w reads in Cay(Q).  Word length in
-F/N' is the total flow plus twice the minimal number of off-support edges
-needed to visit every support vertex together with the identity; the
-off-support connection cost is computed over flow-support components with
-a 0/1-weight search and an exact path ordering.
+net edge-traversal flow of the path w reads in Cay(Q), so lengths are read
+off the image too.  Word length in F/N' is the total flow plus twice the
+minimal number of off-support edges needed to visit every support vertex
+together with the identity; the off-support connection cost is computed
+over flow-support components with a 0/1-weight search and an exact path
+ordering.
 """
 
 from functools import lru_cache
@@ -29,7 +33,9 @@ from .wreath import (
     Measure,
     WreathElement,
     conjugacy_test,
+    w_invert,
     w_length,
+    w_multiply,
     wreath_element,
 )
 from .words import FreeWord, from_json as word_from_json, identity as word_identity, to_json as word_to_json
@@ -52,55 +58,30 @@ def magnus_embed(w: FreeWord, Q: GroupHandle, lamp: ZrHandle | None = None) -> W
 
 
 # -- edge flows ----------------------------------------------------------------
+# A Magnus form is its own edge flow: the cell at q with vector v carries the
+# net count v[i-1] on the edge (q, q.x_i), zero counts meaning no edge.
 
 
-class EdgeFlow:
-    """Net signed traversal counts of the path a word reads in Cay(Q).
-
-    ``counts`` maps (key(q), i) for the directed edge (q, q.x_i) to its net
-    count; ``vertices`` maps keys back to elements; ``endpoint`` is where
-    the path stops.
-    """
-
-    __slots__ = ("counts", "vertices", "endpoint")
-
-    def __init__(self, counts, vertices, endpoint):
-        self.counts = counts
-        self.vertices = vertices
-        self.endpoint = endpoint
-
-    def total(self) -> int:
-        return sum(abs(c) for c in self.counts.values())
-
-
-def flow_of(w: FreeWord, Q: GroupHandle) -> EdgeFlow:
-    """Edge flow of w, assembled from the projected derivative coordinates."""
-    ders, endpoint = projected_derivatives(w, Q)
-    counts = {}
-    vertices = {Q.key(Q.identity): Q.identity}
-    for i, der in enumerate(ders, start=1):
-        for elem, coeff in der.items():
-            counts[(Q.key(elem), i)] = coeff
-            vertices.setdefault(Q.key(elem), elem)
-    return EdgeFlow(counts, vertices, endpoint)
-
-
-def divergence_of(flow: EdgeFlow, Q: GroupHandle) -> dict:
-    """Net outflow per vertex: +1 at the identity, -1 at the endpoint, zero
-    elsewhere (identically zero when the endpoint is the identity)."""
+def divergence_of(form: WreathElement) -> dict:
+    """Net outflow per vertex of the form's edge flow: +1 at the identity,
+    -1 at the endpoint, zero elsewhere (identically zero when the endpoint
+    is the identity)."""
+    Q = form.base
     gens = [g for _, g in Q.generators()]
     div: dict = {}
-    for (qk, i), c in flow.counts.items():
-        q = flow.vertices[qk]
-        head = Q.multiply(q, gens[i - 1])
-        div[qk] = div.get(qk, 0) + c
-        div[Q.key(head)] = div.get(Q.key(head), 0) - c
+    for qk, (q, vec) in form.f.items():
+        for g, c in zip(gens, vec):
+            if c:
+                hk = Q.key(Q.multiply(q, g))
+                div[qk] = div.get(qk, 0) + c
+                div[hk] = div.get(hk, 0) - c
     return {k: v for k, v in div.items() if v}
 
 
-def _support_components(flow: EdgeFlow, Q: GroupHandle):
-    """Connected components of the support subgraph, with the identity
+def _support_components(form: WreathElement):
+    """Connected components of the flow-support subgraph, with the identity
     vertex adjoined as its own component when isolated."""
+    Q = form.base
     gens = [g for _, g in Q.generators()]
     parent: dict = {}
 
@@ -123,13 +104,14 @@ def _support_components(flow: EdgeFlow, Q: GroupHandle):
 
     ekey = Q.key(Q.identity)
     register(ekey, Q.identity)
-    for (qk, i), _ in flow.counts.items():
-        q = flow.vertices[qk]
-        head = Q.multiply(q, gens[i - 1])
-        hk = Q.key(head)
+    for qk, (q, vec) in form.f.items():
         register(qk, q)
-        register(hk, head)
-        union(qk, hk)
+        for g, c in zip(gens, vec):
+            if c:
+                head = Q.multiply(q, g)
+                hk = Q.key(head)
+                register(hk, head)
+                union(qk, hk)
 
     comps: dict = {}
     for k in verts:
@@ -137,11 +119,12 @@ def _support_components(flow: EdgeFlow, Q: GroupHandle):
     return [sorted(c) for root, c in sorted(comps.items())], verts
 
 
-def _zero_one_distances(flow, Q, sources, targets, verts, config: RunConfig):
+def _zero_one_distances(form: WreathElement, sources, targets, verts, config: RunConfig):
     """0/1-weight BFS from a vertex set: support edges are free, all other
     Cayley edges cost one.  Returns first-reached costs for target keys."""
+    Q = form.base
     gens = [g for _, g in Q.generators()]
-    support = set(flow.counts)
+    support = {(k, i) for k, (_, vec) in form.f.items() for i, c in enumerate(vec, start=1) if c}
     dist = {k: 0 for k in sources}
     elems = {k: verts[k] for k in sources}
     dq = deque((0, k) for k in sources)
@@ -183,7 +166,7 @@ def _zero_one_distances(flow, Q, sources, targets, verts, config: RunConfig):
     return found
 
 
-def offsupport_connection_cost(flow: EdgeFlow, Q: GroupHandle, config: RunConfig = DEFAULT) -> Measure:
+def offsupport_connection_cost(form: WreathElement, config: RunConfig = DEFAULT) -> Measure:
     """Minimal number of non-support edges in a walk visiting every support
     vertex and the identity; support edges may be reused freely.
 
@@ -191,9 +174,9 @@ def offsupport_connection_cost(flow: EdgeFlow, Q: GroupHandle, config: RunConfig
     path-TSP over components in the 0/1 metric (free endpoints).  Exact by
     enumeration while the component count stays small.
     """
-    if not flow.counts:
+    if not form.f:
         return Measure.exactly(0)
-    comps, verts = _support_components(flow, Q)
+    comps, verts = _support_components(form)
     m = len(comps)
     if m == 1:
         return Measure.exactly(0)
@@ -206,7 +189,7 @@ def offsupport_connection_cost(flow: EdgeFlow, Q: GroupHandle, config: RunConfig
         targets = [k for cj in range(ci + 1, m) for k in comps[cj]]
         if not targets:
             continue
-        found = _zero_one_distances(flow, Q, comps[ci], targets, verts, config)
+        found = _zero_one_distances(form, comps[ci], targets, verts, config)
         best = {}
         for k, d in found.items():
             cj = key_to_comp[k]
@@ -237,31 +220,22 @@ def offsupport_connection_cost(flow: EdgeFlow, Q: GroupHandle, config: RunConfig
     return Measure(cost, False, max(max(row) for row in D))
 
 
-def geodesic_length_of_word(w: FreeWord, Q: GroupHandle, config: RunConfig = DEFAULT) -> Measure:
-    """Exact word length in F/N' of the element the word represents, from
-    its edge flow over Cay(F/N): total flow plus twice the off-support
-    connection cost."""
-    flow = flow_of(w, Q)
-    conn = offsupport_connection_cost(flow, Q, config)
-    total = flow.total()
-    return Measure(total + 2 * conn.value, conn.exact, total + 2 * conn.lower)
-
-
 # -- free solvable groups -------------------------------------------------------
 
 
 class SolvableElement:
-    """An element of S_{r,d} for d >= 2: a representative word plus its
-    cached image under the Magnus embedding (the normal form)."""
+    """An element of S_{r,d} for d >= 2: its image under the Magnus
+    embedding (the normal form), embedded from the representative word
+    on first use unless given, plus that word for JSON and repr."""
 
     __slots__ = ("group", "word", "_form")
 
-    def __init__(self, group: "SolvableGroup", word: FreeWord):
+    def __init__(self, group: "SolvableGroup", word: FreeWord, form: WreathElement | None = None):
         if word.rank != group.r:
             raise ValueError("word rank does not match the group rank")
         self.group = group
         self.word = word
-        self._form = None
+        self._form = form
 
     @property
     def form(self) -> WreathElement:
@@ -290,9 +264,11 @@ class SolvableElement:
 class SolvableGroup(GroupHandle):
     """S_{r,d} = F/F^(d) for d >= 2, as a handle.
 
-    Arithmetic concatenates representative words and recomputes the Magnus
-    form lazily; no reduced normal word is attempted.  Distance is the
-    exact flow-length formula over the base quotient S_{r,d-1}.
+    Arithmetic composes Magnus forms in Z^r wr S_{r,d-1} (the embedding is
+    a homomorphism) and concatenates the representative words beside them;
+    no reduced normal word is attempted.  Distance is the exact
+    flow-length formula over the base quotient S_{r,d-1}, read off the
+    form.
     """
 
     kind = "free_solvable"
@@ -313,10 +289,10 @@ class SolvableGroup(GroupHandle):
         ]
 
     def multiply(self, a: SolvableElement, b: SolvableElement) -> SolvableElement:
-        return SolvableElement(self, a.word * b.word)
+        return SolvableElement(self, a.word * b.word, w_multiply(a.form, b.form))
 
     def invert(self, a: SolvableElement) -> SolvableElement:
-        return SolvableElement(self, a.word.inverse())
+        return SolvableElement(self, a.word.inverse(), w_invert(a.form))
 
     def key(self, a: SolvableElement):
         return a.form.key()
@@ -402,8 +378,12 @@ def solvable_eq(u: SolvableElement, v: SolvableElement) -> bool:
 
 
 def geodesic_length(g: SolvableElement, config: RunConfig = DEFAULT) -> Measure:
-    """Exact word length of g in S_{r,d}."""
-    return geodesic_length_of_word(g.word, g.group.base, config)
+    """Exact word length of g in S_{r,d}, read off its Magnus form: total
+    edge flow over Cay(S_{r,d-1}) plus twice the off-support connection
+    cost."""
+    conn = offsupport_connection_cost(g.form, config)
+    total = sum(abs(c) for _, vec in g.form.f.values() for c in vec)
+    return Measure(total + 2 * conn.value, conn.exact, total + 2 * conn.lower)
 
 
 def bilipschitz_check(g: SolvableElement, config: RunConfig = DEFAULT):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from magnuskit.cli import main
 from magnuskit.groups import ZrHandle
 from magnuskit.wreath import element_from_json
@@ -212,9 +214,10 @@ def test_config_file_and_json_format(capsys, tmp_path):
     assert rows[0]["n"] == 1 and rows[0]["measured"] == 1
 
 
-def test_bad_config_key_is_parse_error(capsys, tmp_path):
+@pytest.mark.parametrize("key", ["no_such_option", "jobs"])
+def test_bad_config_key_is_parse_error(capsys, tmp_path, key):
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"no_such_option": 1}))
+    cfgfile.write_text(json.dumps({key: 1}))
     code, _, err = run(capsys, "--config", str(cfgfile), "selftest", "--list")
     assert code == 2
 

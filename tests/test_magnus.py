@@ -2,14 +2,14 @@ import random
 
 import pytest
 
+from magnuskit import magnus
 from magnuskit.groups import ZrHandle, ball_layers, edge_traversal_counts
 from magnuskit.magnus import (
     bilipschitz_check,
     divergence_of,
-    flow_of,
     geodesic_length,
-    geodesic_length_of_word,
     magnus_embed,
+    offsupport_connection_cost,
     solvable_conjugacy_test,
     solvable_eq,
     solvable_group,
@@ -64,6 +64,16 @@ def test_embed_is_homomorphism_random():
         assert magnus_embed(u * v, Z2) == w_multiply(
             magnus_embed(u, Z2), magnus_embed(v, Z2)
         )
+    # group arithmetic composes forms; they must be the forms of the
+    # concatenated and inverted words
+    for d in (3, 4):
+        S = solvable_group(2, d)
+        for _ in range(10):
+            u = random_word(2, rng.randint(0, 10), rng)
+            v = random_word(2, rng.randint(0, 10), rng)
+            a, b = S.from_word(u), S.from_word(v)
+            assert S.multiply(a, b).form.key() == magnus_embed(u * v, S.base, S.lamp).key()
+            assert S.invert(a).form.key() == magnus_embed(u.inverse(), S.base, S.lamp).key()
 
 
 def test_solvable_eq_agrees_with_quotient_kernel():
@@ -93,18 +103,15 @@ def test_solvable_eq_examples():
 
 
 def test_flow_divergence_contract():
-    flow = flow_of(FreeWord(2, (1,)), Z2)
-    div = divergence_of(flow, Z2)
+    div = divergence_of(magnus_embed(FreeWord(2, (1,)), Z2))
     assert div == {(0, 0): 1, (1, 0): -1}
 
-    flow = flow_of(FreeWord(2, (1, 2, -1, -2)), Z2)
-    assert divergence_of(flow, Z2) == {}
+    assert divergence_of(magnus_embed(FreeWord(2, (1, 2, -1, -2)), Z2)) == {}
 
     rng = random.Random(54)
     for _ in range(1000):
         w = random_word(2, rng.randint(0, 15), rng)
-        flow = flow_of(w, Z2)
-        div = divergence_of(flow, Z2)
+        div = divergence_of(magnus_embed(w, Z2))
         end = Z2.from_word(w)
         expected = {} if end == (0, 0) else {(0, 0): 1, end: -1}
         assert div == expected
@@ -114,10 +121,12 @@ def test_flow_matches_edge_walker():
     rng = random.Random(55)
     for _ in range(200):
         w = random_word(2, rng.randint(0, 15), rng)
-        flow = flow_of(w, Z2)
+        form = magnus_embed(w, Z2)
         counts, _, end = edge_traversal_counts(Z2, w)
-        assert flow.counts == counts
-        assert Z2.key(flow.endpoint) == Z2.key(end)
+        # cell q with vector v carries count v[i-1] on the edge (q, q.x_i)
+        flow = {(k, i): c for k, (_, v) in form.f.items() for i, c in enumerate(v, start=1) if c}
+        assert flow == counts
+        assert Z2.key(form.b) == Z2.key(end)
 
 
 def test_geodesic_examples():
@@ -133,7 +142,7 @@ def test_geodesic_disconnected_flow_needs_connectors():
     c = FreeWord(2, (1, 2, -1, -2))
     far = gen(2, 1).power(3) * c * gen(2, 1).power(-3)
     w = c * far
-    m = geodesic_length_of_word(w, Z2)
+    m = geodesic_length(S22.from_word(w))
     assert m == (12, True, 12)
     # the value is achieved: an explicit 12-letter word weaving both loops
     # into one walk represents the same element
@@ -152,14 +161,12 @@ def test_geodesic_matches_bfs_radius8_exercises_connectors():
     """Radius 8 reaches elements whose flow support is disconnected from the
     identity (connector cost 1) and two-step connectors (cost 2), so the
     off-support walk reading is probed, not just the flow total."""
-    from magnuskit.magnus import offsupport_connection_cost
-
     costs = {}
     for dist, layer in ball_layers(S22, 8):
         for _, g in layer:
             m = geodesic_length(g)
             assert m.exact and m.value == dist
-            w = offsupport_connection_cost(flow_of(g.word, S22.base), S22.base)
+            w = offsupport_connection_cost(g.form)
             costs[w.value] = costs.get(w.value, 0) + 1
     assert costs.get(1, 0) > 0 and costs.get(2, 0) > 0
 
@@ -220,6 +227,33 @@ def test_depth4_lengths_keep_the_sandwich():
         embedded = w_length(g.form)
         assert intrinsic.exact and embedded.exact
         assert intrinsic.value <= 2 * embedded.value <= 4 * intrinsic.value
+
+
+def test_depth4_form_embeds_words_a_fixed_number_of_times(monkeypatch):
+    # the Fox walk composes prefix forms instead of re-embedding every
+    # prefix, so the embedding count does not grow with the word
+    S4 = solvable_group(2, 4)
+    S4.from_word(FreeWord(2, (1, 2, -1, -2))).form  # caches each level's identity form
+    calls = []
+    embed = magnus.magnus_embed
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return embed(*args, **kwargs)
+
+    monkeypatch.setattr(magnus, "magnus_embed", counting)
+    rng = random.Random(59)
+    counts = []
+    for n in (32, 64):
+        letters = [1]
+        while len(letters) < n:
+            let = rng.choice((1, 2, -1, -2))
+            if let != -letters[-1]:
+                letters.append(let)
+        calls.clear()
+        S4.from_word(FreeWord(2, letters)).form
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_solvable_order_and_powers():
