@@ -352,7 +352,7 @@ def check_central_family_lower_bound():
     B = ZrHandle(2)
     spec = FamilySpec(A, B, (1, 0), (0, 1), "central")
     for n in range(1, 5):
-        scan = central_family_min_conjugator(spec, n, z_scan_radius=2 * n + 2)
+        scan = central_family_min_conjugator(spec, n)
         _require(scan.min_length is not None, f"no conjugator found at n={n}")
         _require(scan.offfamily_clean, "a base part outside <x> admitted a conjugator")
         _require(
@@ -370,7 +370,7 @@ def check_central_family_lower_bound():
         len(inst.witness.f) == 2 * delta,
         f"constructed witness support {len(inst.witness.f)} != 2*delta(8)={2 * delta}",
     )
-    scan = central_family_min_conjugator(hspec, n, z_scan_radius=5)
+    scan = central_family_min_conjugator(hspec, n)
     _require(scan.min_length is not None, "no conjugator found over the Heisenberg base")
     _require(scan.offfamily_clean, "a Heisenberg base part outside <x> admitted a conjugator")
     _require(
@@ -390,7 +390,7 @@ def check_triangle_family_lower_bound():
     spec = FamilySpec(ZrHandle(1), ZrHandle(2), (1, 0), (0, 1), "z2")
     for n in range(1, 6):
         z2_triangle_family(spec, n)  # envelope checks live inside
-        scan = z2_min_conjugator(spec, n, offfamily_radius=min(2 * n, 4))
+        scan = z2_min_conjugator(spec, n)
         _require(scan.min_length is not None, f"no conjugator found at n={n}")
         _require(scan.offfamily_clean, "an off-family base part admitted a conjugator")
         _require(

@@ -8,13 +8,15 @@ The two families pin down lower bounds for conjugator length in A wr B:
   u = ({e, y} -> a, x) and v = ({x^-delta, x^delta y} -> a, x) is conjugate,
   but any conjugator carries at least 2*delta(n) lamps, where delta is the
   distortion of <x> at n.  Every conjugator's base part lies in <x>, which
-  the scan re-verifies empirically before trusting its candidate set.
+  the scan checks over the complete candidate set of
+  wreath.base_part_candidates before trusting its window of powers of x.
 
 * Z^2 triangle family - for x, y spanning a copy of Z^2 in B, the pair
   u = (segment along <x> -> a, y) and v = (the diagonal shift -> a, y) is
   conjugate only through base parts y^k, and the conjugator lamps fill a
   triangle with quadratically many cells, giving a conjugator length of at
-  least n^2 + n from linearly sized inputs.
+  least n^2 + n from linearly sized inputs; the same check confirms that
+  no base part outside <y> admits a conjugator.
 
 Scans are seed-deterministic; CSV rows carry the seed.
 """
@@ -25,11 +27,12 @@ from typing import Optional
 
 from .config import DEFAULT, RunConfig
 from .errors import BeyondCapError, InvariantViolation
-from .groups import GroupHandle, ball_layers
+from .groups import GroupHandle
 from .wreath import (
     Measure,
     WreathElement,
     WreathGroup,
+    base_part_candidates,
     conjugator_for_z,
     identity_element,
     is_inert,
@@ -225,45 +228,43 @@ class MinScanResult:
     lengths: list
 
 
+def _offfamily_clean(inst: FamilyInstance, g, config: RunConfig) -> bool:
+    """True when every base part admitting a conjugator of the family pair
+    lies in <g>, g being the pair's base part.  The pair is not inert, so
+    every such base part is a power of g times a candidate of
+    base_part_candidates, and checking the candidates decides it."""
+    return all(
+        inst.u.base.power_membership(z, g) is not None
+        for z in base_part_candidates(inst.u, inst.v, config)
+        if conjugator_for_z(inst.u, inst.v, z, config) is not None
+    )
+
+
 def central_family_min_conjugator(
     spec: FamilySpec,
     n: int,
-    z_scan_radius: int,
     config: RunConfig = DEFAULT,
     power_window: Optional[int] = None,
 ) -> MinScanResult:
     """Minimal verified conjugator length for the central family at n.
 
-    Candidates are the powers of x within the window plus a general ball of
-    the given radius; the scan records whether every base part that admitted
-    a conjugator is a power of x (the structural step that justifies the
-    candidate set).  The default window is wide enough that base parts
-    beyond it force strictly larger lamp supports, hence longer witnesses.
+    Candidates are the powers of x within the window; the scan records
+    whether every base part that admits a conjugator is a power of x (the
+    structural step that justifies the candidate set).  The default window
+    is wide enough that base parts beyond it force strictly larger lamp
+    supports, hence longer witnesses.
     """
     inst = central_family(spec, n, config)
     B = spec.B
     if power_window is None:
         power_window = inst.delta + n + 2
-    candidates = {}
-    for k in range(-power_window, power_window + 1):
-        z = B.power(spec.x, k)
-        candidates[B.key(z)] = z
-    for _, layer in ball_layers(B, z_scan_radius):
-        for zk, z in layer:
-            candidates.setdefault(zk, z)
-
+    powers = (B.power(spec.x, k) for k in range(-power_window, power_window + 1))
     lengths = []
-    offfamily_clean = True
-    for zk in sorted(candidates):
-        z = candidates[zk]
-        if B.key(B.multiply(spec.x, z)) != B.key(B.multiply(z, spec.x)):
-            continue
+    for z in sorted(powers, key=B.key):
         witness = conjugator_for_z(inst.u, inst.v, z, config)
-        if witness is None:
-            continue
-        if B.power_membership(z, spec.x) is None and B.key(z) != B.key(B.identity):
-            offfamily_clean = False
-        lengths.append(w_length(witness, config))
+        if witness is not None:
+            lengths.append(w_length(witness, config))
+    offfamily_clean = _offfamily_clean(inst, spec.x, config)
     if not lengths:
         return MinScanResult(None, 0, offfamily_clean, [])
     min_len = min(lengths, key=lambda m: m.value)
@@ -323,15 +324,10 @@ def z2_triangle_family(spec: FamilySpec, n: int, config: RunConfig = DEFAULT) ->
     return FamilyInstance(u, v, witness, n, u_len, v_len)
 
 
-def z2_min_conjugator(
-    spec: FamilySpec,
-    n: int,
-    config: RunConfig = DEFAULT,
-    offfamily_radius: int = 0,
-) -> MinScanResult:
+def z2_min_conjugator(spec: FamilySpec, n: int, config: RunConfig = DEFAULT) -> MinScanResult:
     """Minimal verified conjugator for the triangle family at n, scanning
-    base parts y^k for |k| <= 3n (plus an optional general ball to confirm
-    off-family base parts admit no conjugator).
+    base parts y^k for |k| <= 3n; the scan records whether every base part
+    that admits a conjugator is a power of y.
 
     Witness supports are quadratic, so lengths may carry upper-bound flags;
     the ``lower`` fields stay sound and carry the quadratic bound.
@@ -339,20 +335,12 @@ def z2_min_conjugator(
     inst = z2_triangle_family(spec, n, config)
     B = spec.B
     lengths = []
-    offfamily_clean = True
     for k in range(-3 * n, 3 * n + 1):
         z = B.power(spec.y, k)
         witness = conjugator_for_z(inst.u, inst.v, z, config)
         if witness is not None:
             lengths.append(w_length(witness, config))
-    if offfamily_radius:
-        ykeys = {B.key(B.power(spec.y, k)) for k in range(-3 * n, 3 * n + 1)}
-        for _, layer in ball_layers(B, offfamily_radius):
-            for zk, z in layer:
-                if zk in ykeys:
-                    continue
-                if conjugator_for_z(inst.u, inst.v, z, config) is not None:
-                    offfamily_clean = False
+    offfamily_clean = _offfamily_clean(inst, spec.y, config)
     if not lengths:
         return MinScanResult(None, 0, offfamily_clean, [])
     min_len = min(lengths, key=lambda m: m.lower)
@@ -379,22 +367,13 @@ def random_wreath_element(
     return acc
 
 
-def first_witness_scan(u, v, config: RunConfig = DEFAULT, z_radius: Optional[int] = None):
-    """First verified conjugator in canonical base-part order, or None.
-
-    Used where any witness upper-bounds the minimum; scanning stops at the
-    first shell that yields one.
-    """
-    B = u.base
-    if z_radius is None:
-        z_radius = 3 * (w_length(u, config) + w_length(v, config)).value + config.z_scan_slack
-    for _, layer in ball_layers(B, z_radius):
-        for _, z in layer:
-            if B.key(B.multiply(u.b, z)) != B.key(B.multiply(z, v.b)):
-                continue
-            witness = conjugator_for_z(u, v, z, config)
-            if witness is not None:
-                return witness
+def first_witness_scan(u, v, config: RunConfig = DEFAULT):
+    """First verified conjugator in the order of base_part_candidates, or
+    None.  Used where any witness upper-bounds the minimum."""
+    for z in base_part_candidates(u, v, config):
+        witness = conjugator_for_z(u, v, z, config)
+        if witness is not None:
+            return witness
     return None
 
 

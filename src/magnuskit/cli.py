@@ -177,7 +177,7 @@ def cmd_family(args, cfg):
     for n in range(args.n_min, args.n_max + 1):
         if args.kind == "central":
             inst = central_family(spec, n, cfg)
-            scan = central_family_min_conjugator(spec, n, z_scan_radius=args.scan_radius or 2 * n + 2, config=cfg)
+            scan = central_family_min_conjugator(spec, n, config=cfg)
             bound = 4 * inst.delta
         else:
             inst = z2_triangle_family(spec, n, cfg)
@@ -296,7 +296,6 @@ def build_parser():
     p.add_argument("--y", required=True)
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--scan-radius", type=int, default=None)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(fn=cmd_family)
 

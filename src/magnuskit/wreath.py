@@ -21,6 +21,10 @@ by z, is the invariant pi_t^(z)(f).  Two elements (f,b), (g,c) are
 conjugate iff some z with bz = zc matches the projections on every coset
 (equality for b of infinite order, A-conjugacy for finite order), and the
 conjugator (h, z) is assembled from prefix products along each coset.
+One generator, base_part_candidates, supplies the base parts z to try: a
+conjugator must carry a nontrivially projecting coset of g onto a coset
+through Supp f, which leaves at most |Supp f| candidates up to powers of b,
+and pairs whose projections are all trivial reduce to conjugacy in B.
 Every returned conjugator is re-verified against u*(h,z) = (h,z)*v, so a
 wrong ordering convention cannot pass silently.
 """
@@ -441,13 +445,9 @@ def conjugator_for_z(
     return witness
 
 
-def is_inert(u: WreathElement) -> bool:
-    """True when every coset projection of the lamp part is trivial, i.e.
-    the element is conjugate to its own lamp-free form (1, b).
-
-    The projections are computed with no shift; triviality does not depend
-    on the shift, so this is a conjugacy invariant.
-    """
+def _projecting_point(u: WreathElement):
+    """A support point of u whose <b>-coset has a nontrivial projection,
+    or None when every coset projection of the lamp part is trivial."""
     A, B = u.lamp, u.base
     order_n = B.order(u.b)
     buckets: dict = {}
@@ -458,9 +458,20 @@ def is_inert(u: WreathElement) -> bool:
         j = _coset_j(B, u.b, order_n, pos, t)
         buckets[ck][1].append((j, val))
     ekey = A.key(A.identity)
-    return all(
-        A.key(_ordered_product(A, entries)) == ekey for _, entries in buckets.values()
-    )
+    for t, entries in buckets.values():
+        if A.key(_ordered_product(A, entries)) != ekey:
+            return t
+    return None
+
+
+def is_inert(u: WreathElement) -> bool:
+    """True when every coset projection of the lamp part is trivial, i.e.
+    the element is conjugate to its own lamp-free form (1, b).
+
+    The projections are computed with no shift; triviality does not depend
+    on the shift, so this is a conjugacy invariant.
+    """
+    return _projecting_point(u) is None
 
 
 @dataclass
@@ -474,90 +485,93 @@ class ConjugacyResult:
         return self.conjugate
 
 
-def _base_conjugating_candidates(B, b, c, radius):
-    """Yield z in ball(B, radius) with bz = zc, in canonical order."""
-    ck = B.key(c)
-    for _, layer in ball_layers(B, radius):
-        for _, z in layer:
-            if B.key(B.multiply(B.multiply(B.invert(z), b), z)) == ck:
-                yield z
+def base_part_candidates(u: WreathElement, v: WreathElement, config: RunConfig = DEFAULT):
+    """Yield base parts z with bz = zc, in a fixed order, such that
+    u = (f, b) and v = (g, c) are conjugate iff conjugator_for_z finds a
+    conjugator at one of them.
+
+    Non-inert pairs: take a support point p of g whose coset projects
+    nontrivially.  A conjugator (h, z) must carry the coset <c>p onto a
+    coset <b>s with s in Supp f, whose projection must match, so
+    z = b^k s p^-1; multiplying the conjugator by u^-k on the left keeps it
+    a conjugator with base part s p^-1.  So every conjugator's base part is
+    a power of b times one of at most |Supp f| candidates (Matthews, Trans.
+    AMS 1966; Vassileva, GCC 2011).
+
+    Inert pairs reduce to conjugacy of b and c in B: the candidates are the
+    identity when B is abelian and all of B when B is finite (both
+    complete), otherwise the ball of radius 3(|u|+|v|) + config.z_scan_slack,
+    which is complete only up to that radius.
+    """
+    _check_groups(u, v)
+    B = u.base
+    p = _projecting_point(v)
+    if p is not None:
+        pinv = B.invert(p)
+        zs = (B.multiply(s, pinv) for s in u.support())  # distinct: s -> s p^-1 is injective
+    elif B.is_abelian:
+        zs = [B.identity]
+    elif B.is_finite:
+        zs = (z for _, z in enumerate_finite(B))
+    else:
+        radius = 3 * (w_length(u, config) + w_length(v, config)).value + config.z_scan_slack
+        zs = (z for _, layer in ball_layers(B, radius) for _, z in layer)
+    for z in zs:
+        if B.key(B.multiply(u.b, z)) == B.key(B.multiply(z, v.b)):
+            yield z
 
 
 def conjugacy_test(
     u: WreathElement, v: WreathElement, config: RunConfig = DEFAULT
 ) -> ConjugacyResult:
-    """Decide conjugacy of u and v in A wr B.
-
-    The base-part scan radius 3(|u|+|v|) is complete for pairs that are not
-    conjugate to a lamp-free element; pairs that are reduce to conjugacy of
-    the base parts in B (exactly solvable for abelian or finite B, scanned
-    with config.z_scan_slack otherwise).  The returned result records which
-    case decided it and whether the decision is complete.
+    """Decide conjugacy of u and v in A wr B by trying the base parts of
+    base_part_candidates: at most |Supp u| of them for pairs that are not
+    conjugate to a lamp-free element, and the conjugators of the base parts
+    in B for pairs that are.  The decision is complete except when an inert
+    pair over an infinite non-abelian B exhausts its radius-bounded scan.
+    The returned result records which case decided it and whether the
+    decision is complete.
     """
     _check_groups(u, v)
     B = u.base
     if B.order(u.b) != B.order(v.b):
         return ConjugacyResult(False, None, True, "order-mismatch")
 
-    inert_u, inert_v = is_inert(u), is_inert(v)
-    if inert_u != inert_v:
+    inert = is_inert(u)
+    if inert != is_inert(v):
         return ConjugacyResult(False, None, True, "projection-mismatch")
 
-    if inert_u:
-        # Both reduce to lamp-free forms; conjugacy is conjugacy of b and c in B.
-        if B.is_abelian:
-            if B.key(u.b) != B.key(v.b):
-                return ConjugacyResult(False, None, True, "inert-base")
-            witness = conjugator_for_z(u, v, B.identity, config)
-            if witness is None:
-                raise InvariantViolation("inert pair lost its identity conjugator")
-            return ConjugacyResult(True, witness, True, "inert-base")
-        if B.is_finite:
-            for _, z in enumerate_finite(B):
-                if B.key(B.multiply(u.b, z)) == B.key(B.multiply(z, v.b)):
-                    witness = conjugator_for_z(u, v, z, config)
-                    if witness is not None:
-                        return ConjugacyResult(True, witness, True, "inert-base")
-            return ConjugacyResult(False, None, True, "inert-base")
-        # General base group: bounded scan with declared slack.
-        n = (w_length(u, config) + w_length(v, config)).value
-        radius = 3 * n + config.z_scan_slack
-        for z in _base_conjugating_candidates(B, u.b, v.b, radius):
-            witness = conjugator_for_z(u, v, z, config)
-            if witness is not None:
-                return ConjugacyResult(True, witness, True, "inert-base")
-        return ConjugacyResult(False, None, False, "inert-base-scan-exhausted")
-
-    nu, nv = w_length(u, config), w_length(v, config)
-    n = nu.value + nv.value
-    exact = nu.exact and nv.exact
-    radius = 3 * n
-    for _, layer in ball_layers(B, radius):
-        for _, z in layer:
-            if B.key(B.multiply(u.b, z)) != B.key(B.multiply(z, v.b)):
-                continue
-            witness = conjugator_for_z(u, v, z, config)
-            if witness is not None:
-                return ConjugacyResult(True, witness, True, "scan")
-    return ConjugacyResult(False, None, exact, "scan-exhausted")
+    case = "inert-base" if inert else "scan"
+    for z in base_part_candidates(u, v, config):
+        witness = conjugator_for_z(u, v, z, config)
+        if witness is not None:
+            return ConjugacyResult(True, witness, True, case)
+        if inert and B.is_abelian:
+            raise InvariantViolation("inert pair lost its identity conjugator")
+    if not inert:
+        return ConjugacyResult(False, None, True, "scan-exhausted")
+    if B.is_abelian or B.is_finite:
+        return ConjugacyResult(False, None, True, "inert-base")
+    return ConjugacyResult(False, None, False, "inert-base-scan-exhausted")
 
 
 def minimal_conjugator(
     u: WreathElement,
     v: WreathElement,
+    z_radius: int,
     config: RunConfig = DEFAULT,
-    z_radius: Optional[int] = None,
 ):
-    """Scan every base part within the radius and return the shortest
-    verified conjugator with its length, or None.
+    """The radius-bounded brute-force reference: scan every base part in
+    ball(B, z_radius) and return the shortest verified conjugator with its
+    length, or None.
 
-    The default radius is the completeness radius of conjugacy_test; pass a
-    smaller one when the caller has its own completeness argument.
+    Minimising over all conjugators needs, per candidate of
+    base_part_candidates, a window of b^j shifts whose size depends on how
+    distorted <b> is in B, so the caller supplies the radius together with
+    its own completeness argument.
     """
     _check_groups(u, v)
     B = u.base
-    if z_radius is None:
-        z_radius = 3 * (w_length(u, config) + w_length(v, config)).value
     best = None
     for _, layer in ball_layers(B, z_radius):
         for _, z in layer:

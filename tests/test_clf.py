@@ -79,7 +79,7 @@ def test_central_family_rejects_bad_spec():
 
 def test_central_min_conjugator_small():
     spec = FamilySpec(Z1, Z2, (1, 0), (0, 1), "central")
-    scan = central_family_min_conjugator(spec, 1, z_scan_radius=4)
+    scan = central_family_min_conjugator(spec, 1)
     assert scan.min_length is not None
     assert scan.offfamily_clean
     assert scan.min_length.value >= 4
@@ -90,7 +90,7 @@ def test_central_family_heisenberg_small():
     spec = FamilySpec(Z1, H, (0, 0, 1), (1, 0, 0), "central")
     inst = central_family(spec, 4)
     assert inst.delta == 1
-    scan = central_family_min_conjugator(spec, 4, z_scan_radius=3)
+    scan = central_family_min_conjugator(spec, 4)
     assert scan.min_length is not None and scan.offfamily_clean
     assert scan.min_length.value >= 4 * inst.delta
 
@@ -115,7 +115,7 @@ def test_z2_family_envelopes_hold():
 def test_z2_min_conjugator_quadratic():
     spec = FamilySpec(Z1, Z2, (1, 0), (0, 1), "z2")
     for n in (1, 2):
-        scan = z2_min_conjugator(spec, n, offfamily_radius=2)
+        scan = z2_min_conjugator(spec, n)
         assert scan.min_length is not None
         assert scan.offfamily_clean
         assert scan.min_length.lower >= n * n + n
@@ -158,5 +158,5 @@ def test_inert_pairs_reduce_to_base_conjugacy():
     other = S3.multiply(S3.multiply(cyc, swap), S3.invert(cyc))
     u = wreath_element(Z1, S3, [], swap)
     v = wreath_element(Z1, S3, [], other)
-    w = first_witness_scan(u, v, z_radius=6)
+    w = first_witness_scan(u, v)
     assert w is not None and not w.f

@@ -73,6 +73,9 @@ def test_conj_command(capsys):
     code, out, _ = run(capsys, "conj", "x1", "x2", "--r", "2", "--d", "2")
     assert code == 1
     assert json.loads(out)["conjugate"] is False
+    code, out, _ = run(capsys, "conj", "x1", "x1 x1 x2 x1^-1 x2^-1", "--r", "2", "--d", "3")
+    assert code == 1
+    assert json.loads(out)["complete"] is True
 
 
 def test_wreath_conj_command(capsys):

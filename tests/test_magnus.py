@@ -215,6 +215,32 @@ def test_solvable_conjugacy_depth3():
     assert res.witness.b.word.letters == (2, 1)
     rej = solvable_conjugacy_test(S3.identity, u)
     assert not rej.conjugate and rej.case == "order-mismatch"
+    # a non-inert pair that is not conjugate: the candidates come from the
+    # supports, not from a ball of S_{2,2}
+    far = solvable_conjugacy_test(u, S3.from_word(FreeWord(2, (1, 1, 2, -1, -2))))
+    assert not far.conjugate and far.complete and far.case == "scan-exhausted"
+
+
+def test_non_inert_decision_tries_at_most_the_support(monkeypatch):
+    # u vs u[x1,x2] with |u| = 3: not conjugate and not inert, so the whole
+    # candidate set is tried; it has at most |Supp u| base parts
+    from magnuskit import wreath
+
+    calls = []
+    build = wreath.conjugator_for_z
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(wreath, "conjugator_for_z", counting)
+    for letters in ((1, 1, 2), (1, 2, 1), (1, -2, 1), (1, -2, -2)):
+        u = S22.from_word(FreeWord(2, letters))
+        v = S22.from_word(FreeWord(2, letters + (1, 2, -1, -2)))
+        calls.clear()
+        res = solvable_conjugacy_test(u, v)
+        assert not res.conjugate and res.complete and res.case == "scan-exhausted"
+        assert 0 < len(calls) <= len(u.form.f)
 
 
 def test_depth4_lengths_keep_the_sandwich():

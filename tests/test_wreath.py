@@ -5,7 +5,7 @@ import pytest
 
 from magnuskit.config import DEFAULT
 from magnuskit.errors import BeyondCapError
-from magnuskit.groups import PermHandle, ZNHandle, ZrHandle, ball_layers
+from magnuskit.groups import HeisenbergHandle, PermHandle, ZNHandle, ZrHandle, ball_layers
 from magnuskit.wreath import (
     Measure,
     WreathGroup,
@@ -336,6 +336,28 @@ def test_conjugacy_order_mismatch_short_circuits():
     v = wreath_element(Z, ZNHandle(6), [], 3)  # order 2
     res = conjugacy_test(u, v)
     assert not res.conjugate and res.case == "order-mismatch"
+
+
+def test_conjugacy_over_heisenberg_agrees_with_reference_scan():
+    # a non-abelian infinite base: the support-aligned decision must find a
+    # conjugator whenever the radius-bounded reference scan does
+    H = HeisenbergHandle(cap=12)
+    G = WreathGroup(Z, H)
+    rng = random.Random(61)
+    pairs = 0
+    while pairs < 60:
+        u = _rand_elem(G, rng, steps=4)
+        built = pairs % 2 == 0
+        v = w_conjugate(u, _rand_elem(G, rng, steps=3)) if built else _rand_elem(G, rng, steps=4)
+        if is_inert(u) or is_inert(v):
+            continue
+        pairs += 1
+        res = conjugacy_test(u, v)
+        assert res.complete
+        if built or minimal_conjugator(u, v, z_radius=4) is not None:
+            assert res.conjugate
+        if res.conjugate:
+            assert w_multiply(u, res.witness) == w_multiply(res.witness, v)
 
 
 def test_minimal_conjugator_inert_pairs_take_base_minimum():
