@@ -7,9 +7,11 @@ from dataclasses import dataclass, replace
 class RunConfig:
     """Exactness thresholds and search caps.
 
-    travel_exact_max: largest support size for which the travel cost is
-        solved exactly (subset dynamic program); larger supports fall back
-        to nearest-neighbour + 2-opt and carry an upper-bound flag.
+    travel_exact_max: largest path-TSP solved exactly (subset dynamic
+        program), counted in travel points for the wreath travel cost and
+        in flow-support components for the free-solvable connection cost;
+        larger instances fall back to nearest-neighbour + 2-opt and carry
+        an upper-bound flag.
     bfs_cap: default Cayley-graph BFS radius for groups without a
         closed-form metric.
     walk_cost_cap / walk_node_cap: ceilings for the 0/1-weight search that

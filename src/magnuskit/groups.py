@@ -66,7 +66,9 @@ class GroupHandle:
         raise NotImplementedError
 
     def __eq__(self, other):
-        return isinstance(other, GroupHandle) and self.describe() == other.describe()
+        return self is other or (
+            isinstance(other, GroupHandle) and self.describe() == other.describe()
+        )
 
     def __hash__(self):
         return hash(json.dumps(self.describe(), sort_keys=True))

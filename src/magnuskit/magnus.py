@@ -16,13 +16,12 @@ net edge-traversal flow of the path w reads in Cay(Q), so lengths are read
 off the image too.  Word length in F/N' is the total flow plus twice the
 minimal number of off-support edges needed to visit every support vertex
 together with the identity; the off-support connection cost is computed
-over flow-support components with a 0/1-weight search and an exact path
-ordering.
+over flow-support components with a 0/1-weight search and the path-TSP
+kernel of the wreath metric (wreath.path_tsp).
 """
 
 from functools import lru_cache
 from collections import deque
-from itertools import permutations
 
 from .config import DEFAULT, RunConfig
 from .errors import BeyondCapError
@@ -33,6 +32,7 @@ from .wreath import (
     Measure,
     WreathElement,
     conjugacy_test,
+    path_tsp,
     w_invert,
     w_length,
     w_multiply,
@@ -171,8 +171,9 @@ def offsupport_connection_cost(form: WreathElement, config: RunConfig = DEFAULT)
     vertex and the identity; support edges may be reused freely.
 
     Within a support component travel is free, so the walk cost is a
-    path-TSP over components in the 0/1 metric (free endpoints).  Exact by
-    enumeration while the component count stays small.
+    path-TSP over components in the 0/1 metric with free endpoints, solved
+    by wreath.path_tsp: exact while the component count stays within
+    config.travel_exact_max, a flagged upper bound beyond it.
     """
     if not form.f:
         return Measure.exactly(0)
@@ -200,24 +201,7 @@ def offsupport_connection_cost(form: WreathElement, config: RunConfig = DEFAULT)
                 raise BeyondCapError("support components not connected within the cost cap")
             D[ci][cj] = D[cj][ci] = best[cj]
 
-    if m <= max(3, config.travel_exact_max):
-        best = None
-        for order in permutations(range(m)):
-            if order[0] > order[-1]:
-                continue  # a path and its reverse cost the same
-            cost = sum(D[a][b] for a, b in zip(order, order[1:]))
-            if best is None or cost < best:
-                best = cost
-        return Measure.exactly(best)
-    # Fallback: nearest-neighbour chain, flagged as an upper bound.
-    left = set(range(1, m))
-    cur, cost = 0, 0
-    while left:
-        nxt = min(left, key=lambda j: (D[cur][j], j))
-        cost += D[cur][nxt]
-        left.discard(nxt)
-        cur = nxt
-    return Measure(cost, False, max(max(row) for row in D))
+    return path_tsp([0] * m, D, [0] * m, config)
 
 
 # -- free solvable groups -------------------------------------------------------

@@ -10,9 +10,10 @@ position) the word length is
     |(f, b)| = K(Supp f, b) + sum_x |f(x)|_A
 
 where K(S, b) is the length of the shortest Cayley path in B from the
-identity to b visiting every point of S.  K is a path-TSP; it is solved
-exactly by a subset dynamic program up to a configured support size and
-by nearest-neighbour + 2-opt (flagged as an upper bound) beyond it.
+identity to b visiting every point of S.  K is a path-TSP; path_tsp solves
+it exactly by a subset dynamic program up to a configured size and by
+nearest-neighbour + 2-opt (flagged as an upper bound) beyond it.  The
+free-solvable connection cost of the magnus module uses the same kernel.
 
 Conjugacy is decided through coset projections: fix b and a right-coset
 representative t of <b>; the ordered product of the lamp values of f along
@@ -192,11 +193,8 @@ def w_power(u: WreathElement, k: int) -> WreathElement:
 
 def travel_cost(B: GroupHandle, points, b, config: RunConfig = DEFAULT) -> Measure:
     """Length of the shortest Cayley path in B from the identity to b
-    visiting every given point.
-
-    Exact (subset dynamic program) while the point count stays within
-    config.travel_exact_max; beyond that the value is a nearest-neighbour +
-    2-opt upper bound and the lower field falls back to detour bounds.
+    visiting every given point: path_tsp over the points, exact while
+    their count stays within config.travel_exact_max.
     """
     e = B.identity
     ekey, bkey = B.key(e), B.key(b)
@@ -217,20 +215,27 @@ def travel_cost(B: GroupHandle, points, b, config: RunConfig = DEFAULT) -> Measu
     for i in range(n):
         for j in range(i + 1, n):
             D[i][j] = D[j][i] = B.distance(pts[i], pts[j])
+    return path_tsp(d0, D, dend, config)
 
+
+def path_tsp(d0, D, dend, config: RunConfig = DEFAULT) -> Measure:
+    """Cost of the shortest path through n >= 1 points: a leg d0[i] into
+    the first point, legs D[i][j] (symmetric) between points and a leg
+    dend[j] out of the last; all-zero legs leave that endpoint free.
+
+    Exact (subset dynamic program) while n stays within
+    config.travel_exact_max; beyond that the value is a nearest-neighbour +
+    2-opt upper bound and the lower field is the longest forced detour
+    through one point or one pair of points.
+    """
+    n = len(d0)
     if n <= config.travel_exact_max:
         return Measure.exactly(_path_tsp_exact(n, d0, D, dend))
-
-    upper = _path_tsp_heuristic(n, d0, D, dend)
-    lower = max(B.distance(e, b), max(d0[i] + dend[i] for i in range(n)))
+    lower = max(d0[i] + dend[i] for i in range(n))
     for i in range(n):
-        for j in range(n):
-            if i != j:
-                detour = min(
-                    d0[i] + D[i][j] + dend[j], d0[j] + D[j][i] + dend[i]
-                )
-                lower = max(lower, detour)
-    return Measure(upper, False, lower)
+        for j in range(i + 1, n):
+            lower = max(lower, D[i][j] + min(d0[i] + dend[j], d0[j] + dend[i]))
+    return Measure(_path_tsp_heuristic(n, d0, D, dend), False, lower)
 
 
 def _path_tsp_exact(n, d0, D, dend) -> int:
@@ -504,8 +509,12 @@ def base_part_candidates(u: WreathElement, v: WreathElement, config: RunConfig =
     which is complete only up to that radius.
     """
     _check_groups(u, v)
+    return _base_parts(u, v, _projecting_point(v), config)
+
+
+def _base_parts(u: WreathElement, v: WreathElement, p, config: RunConfig):
+    """base_part_candidates with p = _projecting_point(v) already found."""
     B = u.base
-    p = _projecting_point(v)
     if p is not None:
         pinv = B.invert(p)
         zs = (B.multiply(s, pinv) for s in u.support())  # distinct: s -> s p^-1 is injective
@@ -538,11 +547,12 @@ def conjugacy_test(
         return ConjugacyResult(False, None, True, "order-mismatch")
 
     inert = is_inert(u)
-    if inert != is_inert(v):
+    p = _projecting_point(v)
+    if inert != (p is None):
         return ConjugacyResult(False, None, True, "projection-mismatch")
 
     case = "inert-base" if inert else "scan"
-    for z in base_part_candidates(u, v, config):
+    for z in _base_parts(u, v, p, config):
         witness = conjugator_for_z(u, v, z, config)
         if witness is not None:
             return ConjugacyResult(True, witness, True, case)

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from magnuskit import magnus
+from magnuskit.config import DEFAULT
 from magnuskit.groups import ZrHandle, ball_layers, edge_traversal_counts
 from magnuskit.magnus import (
     bilipschitz_check,
@@ -171,6 +173,85 @@ def test_geodesic_matches_bfs_radius8_exercises_connectors():
     assert costs.get(1, 0) > 0 and costs.get(2, 0) > 0
 
 
+def _loop_word(rng, components):
+    """Commutator loops conjugated out to distinct points of the lattice
+    3Z^2, where no two loops and no loop and the identity share a vertex,
+    so the flow support has exactly `components` components (identity
+    included)."""
+    sites = [(3 * i, 3 * j) for i in range(-2, 3) for j in range(-2, 3) if i or j]
+    w = FreeWord(2, ())
+    for x, y in rng.sample(sites, components - 1):
+        moves = [1 if x > 0 else -1] * abs(x) + [2 if y > 0 else -2] * abs(y)
+        rng.shuffle(moves)
+        p = FreeWord(2, moves)
+        a, b = (gen(2, i).power(rng.choice((1, -1))) for i in rng.sample((1, 2), 2))
+        w = w * p * a * b * a.inverse() * b.inverse() * p.inverse()
+    return w
+
+
+def _star_word(k):
+    """Four unit commutator loops at distance k along the +-x1 and +-x2
+    axes (the star family of the ROADMAP's Steiner-tree item)."""
+    w = FreeWord(2, ())
+    for axis, other in ((1, 2), (-1, 2), (2, 1), (-2, 1)):
+        w = w * FreeWord(2, (axis,) * k + (axis, other, -axis, -other) + (-axis,) * k)
+    return w
+
+
+def _brute_connection_cost(form):
+    """The connection cost by enumerating every order of the flow-support
+    components over their 0/1 distances (free endpoints)."""
+    comps, verts = magnus._support_components(form)
+    comp_of = {k: ci for ci, comp in enumerate(comps) for k in comp}
+    D = {}
+    for ci, comp in enumerate(comps):
+        others = [k for k in comp_of if comp_of[k] != ci]
+        for k, d in magnus._zero_one_distances(form, comp, others, verts, DEFAULT).items():
+            D[ci, comp_of[k]] = min(d, D.get((ci, comp_of[k]), d))
+    return min(
+        sum(D[a, b] for a, b in zip(order, order[1:]))
+        for order in itertools.permutations(range(len(comps)))
+    )
+
+
+def test_connection_cost_against_order_enumeration():
+    rng = random.Random(61)
+    words = [_loop_word(rng, m) for m in range(3, 9) for _ in range(2)]
+    words += [_star_word(k) for k in (2, 3, 4)]
+    for w in words:
+        form = S22.from_word(w).form
+        got = offsupport_connection_cost(form)
+        assert got.exact
+        assert got.value == _brute_connection_cost(form)
+
+
+@pytest.mark.parametrize("components, cap", [(3, 2), (6, 4)])
+def test_connection_cost_beyond_the_cap_is_flagged(components, cap):
+    # one threshold counts travel points and support components alike
+    form = S22.from_word(_loop_word(random.Random(components), components)).form
+    assert len(magnus._support_components(form)[0]) == components
+    got = offsupport_connection_cost(form, DEFAULT.with_(travel_exact_max=cap))
+    exact = offsupport_connection_cost(form)
+    assert not got.exact and exact.exact
+    assert got.lower <= exact.value <= got.value
+
+
+def test_geodesic_length_runs_the_path_tsp_kernel_once(monkeypatch):
+    from magnuskit import wreath
+
+    calls = []
+    solve = wreath._path_tsp_exact
+
+    def counting(*args):
+        calls.append(args[0])
+        return solve(*args)
+
+    monkeypatch.setattr(wreath, "_path_tsp_exact", counting)
+    g = S22.from_word(_loop_word(random.Random(5), 4))
+    assert geodesic_length(g).exact
+    assert calls == [4]
+
+
 def test_bilipschitz_examples():
     g = S22.from_word(FreeWord(2, (1,)))
     intrinsic, embedded, ok = bilipschitz_check(g)
@@ -241,6 +322,31 @@ def test_non_inert_decision_tries_at_most_the_support(monkeypatch):
         res = solvable_conjugacy_test(u, v)
         assert not res.conjugate and res.complete and res.case == "scan-exhausted"
         assert 0 < len(calls) <= len(u.form.f)
+
+
+def test_conjugacy_finds_each_projecting_point_once(monkeypatch):
+    # over an S_{2,2} base every coset_key walks an orbit window with a
+    # geodesic length per step, so v's projecting point is found only once
+    from magnuskit import wreath
+
+    seen = []
+    find = wreath._projecting_point
+
+    def counting(w):
+        seen.append(w)
+        return find(w)
+
+    monkeypatch.setattr(wreath, "_projecting_point", counting)
+    S3 = solvable_group(2, 3)
+    u = S3.from_word(FreeWord(2, (1,)))
+    gamma = S3.from_word(FreeWord(2, (2, 1)))
+    for v in (
+        S3.multiply(S3.multiply(S3.invert(gamma), u), gamma),
+        S3.from_word(FreeWord(2, (1, 1, 2, -1, -2))),
+    ):
+        seen.clear()
+        solvable_conjugacy_test(u, v)
+        assert len(seen) == 2 and seen[0] is u.form and seen[1] is v.form
 
 
 def test_depth4_lengths_keep_the_sandwich():

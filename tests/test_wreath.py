@@ -88,6 +88,26 @@ def test_group_mismatch_rejected():
         w_multiply(u, v)
 
 
+def test_shared_handles_are_compared_without_descriptions(monkeypatch):
+    # the handle check runs in every product; operands that share their
+    # handle objects must not pay for building describe() dicts
+    calls = []
+    describe = ZrHandle.describe
+
+    def counting(self):
+        calls.append(1)
+        return describe(self)
+
+    monkeypatch.setattr(ZrHandle, "describe", counting)
+    u = lamp_generator(Z, Z2, (1,))
+    v = base_generator(Z, Z2, (0, 1))
+    w_multiply(u, v)
+    assert calls == []
+    # equal handles that are distinct objects still compare by description
+    w_multiply(u, base_generator(ZrHandle(1), ZrHandle(2), (0, 1)))
+    assert calls
+
+
 # -- travel cost and length -----------------------------------------------------
 
 
