@@ -12,7 +12,6 @@ from .groups import (
     ZNHandle,
     ZrHandle,
     ball,
-    ball_layers,
     edge_traversal_counts,
     handle_from_descriptor,
 )
@@ -29,7 +28,6 @@ from .wreath import (
     WreathGroup,
     conjugacy_test,
     conjugator_for_z,
-    minimal_conjugator,
     pi_projection,
     travel_cost,
     upper_bound_formula,

@@ -404,8 +404,9 @@ def check_triangle_family_lower_bound():
 
 
 def check_solvable_clf_envelope():
-    """For seeded conjugate pairs in S_{2,2} with n <= 8, a conjugator of
-    the embedded pair stays under the cubic envelope (56n^2+28n)(28n+1)."""
+    """For seeded conjugate pairs in S_{2,2} with n <= 8, the S_{2,2}
+    length of a conjugator stays under the cubic envelope
+    (56n^2+28n)(28n+1)."""
     S = solvable_group(2, 2)
     rng = random.Random(1300)
     produced = 0
@@ -418,13 +419,14 @@ def check_solvable_clf_envelope():
         if n > 8:
             continue
         produced += 1
-        witness = first_witness_scan(u.form, v.form)
-        _require(witness is not None, "embedded conjugate pair lost its conjugator")
-        wl = w_length(witness)
+        conjugator = S.conjugator(u, v)
+        _require(conjugator is not None, "conjugate pair lost its conjugator")
+        wl = geodesic_length(conjugator)
+        _require(wl.exact, "conjugator length lost exactness")
         bound = (56 * n * n + 28 * n) * (28 * n + 1)
         _require(
             wl.value <= bound,
-            f"embedded conjugator length {wl.value} exceeds {bound} at n={n}",
+            f"conjugator length {wl.value} exceeds {bound} at n={n}",
         )
         if bound:
             worst = max(worst, wl.value / bound)

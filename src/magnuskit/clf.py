@@ -228,15 +228,15 @@ class MinScanResult:
     lengths: list
 
 
-def _offfamily_clean(inst: FamilyInstance, g, config: RunConfig) -> bool:
+def _offfamily_clean(inst: FamilyInstance, g) -> bool:
     """True when every base part admitting a conjugator of the family pair
     lies in <g>, g being the pair's base part.  The pair is not inert, so
     every such base part is a power of g times a candidate of
     base_part_candidates, and checking the candidates decides it."""
     return all(
         inst.u.base.power_membership(z, g) is not None
-        for z in base_part_candidates(inst.u, inst.v, config)
-        if conjugator_for_z(inst.u, inst.v, z, config) is not None
+        for z in base_part_candidates(inst.u, inst.v)
+        if conjugator_for_z(inst.u, inst.v, z) is not None
     )
 
 
@@ -261,10 +261,10 @@ def central_family_min_conjugator(
     powers = (B.power(spec.x, k) for k in range(-power_window, power_window + 1))
     lengths = []
     for z in sorted(powers, key=B.key):
-        witness = conjugator_for_z(inst.u, inst.v, z, config)
+        witness = conjugator_for_z(inst.u, inst.v, z)
         if witness is not None:
             lengths.append(w_length(witness, config))
-    offfamily_clean = _offfamily_clean(inst, spec.x, config)
+    offfamily_clean = _offfamily_clean(inst, spec.x)
     if not lengths:
         return MinScanResult(None, 0, offfamily_clean, [])
     min_len = min(lengths, key=lambda m: m.value)
@@ -337,10 +337,10 @@ def z2_min_conjugator(spec: FamilySpec, n: int, config: RunConfig = DEFAULT) -> 
     lengths = []
     for k in range(-3 * n, 3 * n + 1):
         z = B.power(spec.y, k)
-        witness = conjugator_for_z(inst.u, inst.v, z, config)
+        witness = conjugator_for_z(inst.u, inst.v, z)
         if witness is not None:
             lengths.append(w_length(witness, config))
-    offfamily_clean = _offfamily_clean(inst, spec.y, config)
+    offfamily_clean = _offfamily_clean(inst, spec.y)
     if not lengths:
         return MinScanResult(None, 0, offfamily_clean, [])
     min_len = min(lengths, key=lambda m: m.lower)
@@ -367,11 +367,11 @@ def random_wreath_element(
     return acc
 
 
-def first_witness_scan(u, v, config: RunConfig = DEFAULT):
+def first_witness_scan(u, v):
     """First verified conjugator in the order of base_part_candidates, or
     None.  Used where any witness upper-bounds the minimum."""
-    for z in base_part_candidates(u, v, config):
-        witness = conjugator_for_z(u, v, z, config)
+    for z in base_part_candidates(u, v):
+        witness = conjugator_for_z(u, v, z)
         if witness is not None:
             return witness
     return None
@@ -404,13 +404,15 @@ def clf_scan(
         if n > n_max:
             continue
         produced += 1
-        witness = first_witness_scan(u, v, config)
+        witness = first_witness_scan(u, v)
         if witness is None:
             raise InvariantViolation("constructed conjugate pair lost its conjugator")
         wlen = w_length(witness, config)
         order = B.order(u.b)
         if is_inert(u):
-            P = n  # the base part conjugates with no lamp correction in abelian B
+            # only the base part B.conjugator(b, c) moves: the identity in
+            # abelian B, some conjugator (not always a shortest) otherwise
+            P = n
         else:
             P = 7 * n
         if order is None:

@@ -43,7 +43,7 @@ def _parse_word(text: str, rank: int) -> FreeWord:
 
 
 def _parse_group(text: str, cfg: RunConfig) -> GroupHandle:
-    return handle_from_descriptor(json.loads(text), bfs_cap=cfg.bfs_cap)
+    return handle_from_descriptor(json.loads(text), cfg)
 
 
 def _load_config(args) -> RunConfig:
@@ -90,13 +90,13 @@ def cmd_fox(args, cfg):
 
 def cmd_embed(args, cfg):
     w = _parse_word(args.word, args.r)
-    Q = solvable_group(args.r, args.d - 1)
+    Q = solvable_group(args.r, args.d - 1, cfg)
     print(json.dumps(element_to_json(magnus_embed(w, Q))))
     return 0
 
 
 def _solvable_pair(args, cfg):
-    G = solvable_group(args.r, args.d)
+    G = solvable_group(args.r, args.d, cfg)
     u = G.from_word(_parse_word(args.u, args.r))
     v = G.from_word(_parse_word(args.v, args.r))
     return G, u, v
@@ -113,7 +113,7 @@ def cmd_len(args, cfg):
         Z = ZrHandle(args.r)
         print(f"{Z.distance(Z.identity, Z.from_word(w))} exact")
         return 0
-    G = solvable_group(args.r, args.d)
+    G = solvable_group(args.r, args.d, cfg)
     m = geodesic_length(G.from_word(w), cfg)
     print(f"{m.value} {'exact' if m.exact else 'upper-bound'}")
     return 0
@@ -126,7 +126,7 @@ def cmd_conj(args, cfg):
         print(json.dumps({"conjugate": conj, "complete": True, "case": "abelian", "witness": None}))
         return 0 if conj else 1
     G, u, v = _solvable_pair(args, cfg)
-    res = solvable_conjugacy_test(u, v, cfg)
+    res = solvable_conjugacy_test(u, v)
     payload = {
         "conjugate": res.conjugate,
         "complete": res.complete,
@@ -142,7 +142,7 @@ def cmd_wreath_conj(args, cfg):
     B = _parse_group(args.base, cfg)
     u = element_from_json(json.loads(args.u), A, B)
     v = element_from_json(json.loads(args.v), A, B)
-    res = conjugacy_test(u, v, cfg)
+    res = conjugacy_test(u, v)
     payload = {
         "conjugate": res.conjugate,
         "complete": res.complete,
@@ -237,7 +237,7 @@ def cmd_selftest(args, cfg):
 def build_parser():
     top = argparse.ArgumentParser(prog="magnuskit", description=__doc__)
     top.add_argument("--config", help="JSON (or TOML on 3.11+) config file")
-    top.add_argument("--format", default="csv", choices=("csv", "json", "text"))
+    top.add_argument("--format", default="csv", choices=("csv", "json"))
     top.add_argument("--travel-exact-max", type=int, dest="travel_exact_max")
     top.add_argument("--bfs-cap", type=int, dest="bfs_cap")
     sub = top.add_subparsers(dest="command", required=True)

@@ -16,16 +16,14 @@ class RunConfig:
         closed-form metric.
     walk_cost_cap / walk_node_cap: ceilings for the 0/1-weight search that
         connects flow-support components in the geodesic-length formula.
-    z_scan_slack: extra base-part radius scanned for conjugate pairs whose
-        lamp part can be conjugated away; covers short-conjugator bounds of
-        the base group when it is not abelian or finite.
+    Conjugacy decisions recurse into the lamp and base groups and have no
+    knob of their own.
     """
 
     travel_exact_max: int = 9
     bfs_cap: int = 8
     walk_cost_cap: int = 64
     walk_node_cap: int = 200_000
-    z_scan_slack: int = 0
     seed: int = 0
 
     def with_(self, **kw) -> "RunConfig":

@@ -2,8 +2,8 @@
 
 A handle supplies the identity, labelled generators, total multiply/invert,
 a canonical key (equal keys iff equal elements), an exact left-invariant
-word metric, order and power queries, and right-coset keys for cyclic
-subgroups.  Shipped handles:
+word metric, order and power queries, right-coset keys for cyclic
+subgroups, and a conjugacy decision with a conjugator.  Shipped handles:
 
     ZrHandle        Z^r with the L1 metric (closed form)
     ZNHandle        Z/N with the cyclic metric (closed form)
@@ -23,6 +23,7 @@ writer needs no coordination beyond the interpreter's own.
 import json
 from math import gcd, lcm
 
+from .config import DEFAULT, RunConfig
 from .errors import BeyondCapError
 from .words import FreeWord, identity as word_identity
 
@@ -38,7 +39,7 @@ class GroupHandle:
     # -- required operations -------------------------------------------
     # identity (attribute), generators(), multiply, invert, key,
     # from_word, distance, order, power_membership, coset_key,
-    # to_json, from_json, describe
+    # conjugator, to_json, from_json, describe
 
     def generators(self):
         raise NotImplementedError
@@ -62,6 +63,18 @@ class GroupHandle:
     def equal(self, a, b) -> bool:
         return self.key(a) == self.key(b)
 
+    def conjugator(self, b, c):
+        """Some z with b z = z c, or None: the identity for equal elements,
+        None in an abelian group, a whole search in a finite one."""
+        if self.key(b) == self.key(c):
+            return self.identity
+        if self.is_abelian:
+            return None
+        for _, z in enumerate_finite(self):  # raises for an infinite group
+            if self.key(self.multiply(b, z)) == self.key(self.multiply(z, c)):
+                return z
+        return None
+
     def describe(self) -> dict:
         raise NotImplementedError
 
@@ -77,11 +90,12 @@ class GroupHandle:
         return f"<{type(self).__name__} {self.describe()}>"
 
 
-def handle_from_descriptor(desc: dict, bfs_cap: int = 8) -> GroupHandle:
-    """Build a handle from its descriptor JSON.
+def handle_from_descriptor(desc: dict, config: RunConfig = DEFAULT) -> GroupHandle:
+    """Build a handle from its descriptor JSON under the run's config.
 
     ``{"kind":"free_solvable","r":r,"d":1}`` normalises to Z^r: derived
-    length one is the abelianisation.
+    length one is the abelianisation.  A Heisenberg descriptor without a
+    cap takes config.bfs_cap.
     """
     kind = desc.get("kind")
     if kind == "Zr":
@@ -89,7 +103,7 @@ def handle_from_descriptor(desc: dict, bfs_cap: int = 8) -> GroupHandle:
     if kind == "ZN":
         return ZNHandle(int(desc["N"]))
     if kind == "heisenberg":
-        return HeisenbergHandle(cap=int(desc.get("cap", bfs_cap)))
+        return HeisenbergHandle(cap=int(desc.get("cap", config.bfs_cap)))
     if kind == "perm":
         return PermHandle(int(desc.get("degree", 3)))
     if kind == "free":
@@ -97,7 +111,7 @@ def handle_from_descriptor(desc: dict, bfs_cap: int = 8) -> GroupHandle:
     if kind == "free_solvable":
         from .magnus import solvable_group
 
-        return solvable_group(int(desc["r"]), int(desc["d"]))
+        return solvable_group(int(desc["r"]), int(desc["d"]), config)
     raise ValueError(f"unknown group descriptor kind {kind!r}")
 
 
@@ -519,6 +533,16 @@ class HeisenbergHandle(GroupHandle):
             k, r = divmod(x[2], c1)
         return k if (r == 0 and self.power(b, k) == x) else None
 
+    def conjugator(self, u, v):
+        # (x,y,z)^-1 (a,b,c) (x,y,z) = (a, b, c + a*y - b*x), so c may move
+        # by any multiple of gcd(a, b), found with an extended gcd
+        (a, b, c), (a2, b2, c2) = u, v
+        g, s, t = _extended_gcd(a, b)
+        k, rest = divmod(c2 - c, g) if g else (0, c2 - c)
+        if (a, b) != (a2, b2) or rest:
+            return None
+        return (-t * k, s * k, 0)
+
     def coset_key(self, b, g):
         if tuple(b) == self.identity:
             return self.key(g)
@@ -541,6 +565,14 @@ class HeisenbergHandle(GroupHandle):
 
     def describe(self):
         return {"kind": "heisenberg"}
+
+
+def _extended_gcd(a: int, b: int):
+    """(g, s, t) with s*a + t*b == g == gcd(a, b)."""
+    if b == 0:
+        return abs(a), (a > 0) - (a < 0), 0
+    g, s, t = _extended_gcd(b, a % b)
+    return g, t, s - (a // b) * t
 
 
 # -- the free group as a handle ----------------------------------------------
@@ -593,6 +625,22 @@ class FreeHandle(GroupHandle):
                     return sign * k
                 acc = acc * step
                 k += 1
+        return None
+
+    def conjugator(self, b, c):
+        """Cyclically reduce b = p b0 p^-1 and c = q c0 q^-1; they are
+        conjugate iff c0 is a rotation s r of b0 = r s, and then p r q^-1
+        conjugates."""
+        cores = []
+        for w in (b, c):
+            L, k = w.letters, 0
+            while 2 * k + 1 < len(L) and L[k] == -L[-1 - k]:
+                k += 1
+            cores.append((FreeWord(self.rank, L[:k], _reduced=True), L[k : len(L) - k]))
+        (p, b0), (q, c0) = cores
+        for i in range(max(len(b0), 1)):
+            if b0[i:] + b0[:i] == c0:
+                return p * FreeWord(self.rank, b0[:i], _reduced=True) * q.inverse()
         return None
 
     def coset_key(self, b, g):

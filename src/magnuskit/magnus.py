@@ -24,14 +24,16 @@ from functools import lru_cache
 from collections import deque
 
 from .config import DEFAULT, RunConfig
-from .errors import BeyondCapError
+from .errors import BeyondCapError, InvariantViolation
 from .fox import projected_derivatives
 from .groups import GroupHandle, ZrHandle
 from .wreath import (
     ConjugacyResult,
     Measure,
     WreathElement,
+    base_part_candidates,
     conjugacy_test,
+    conjugator_for_z,
     path_tsp,
     w_invert,
     w_length,
@@ -252,17 +254,18 @@ class SolvableGroup(GroupHandle):
     a homomorphism) and concatenates the representative words beside them;
     no reduced normal word is attempted.  Distance is the exact
     flow-length formula over the base quotient S_{r,d-1}, read off the
-    form.
+    form under the group's config.
     """
 
     kind = "free_solvable"
 
-    def __init__(self, r: int, d: int):
+    def __init__(self, r: int, d: int, config: RunConfig = DEFAULT):
         if d < 2:
             raise ValueError("use solvable_group(), which maps d=1 to Z^r")
         self.r = r
         self.d = d
-        self.base = solvable_group(r, d - 1)
+        self.config = config
+        self.base = solvable_group(r, d - 1, config)
         self.lamp = ZrHandle(r)
         self.identity = SolvableElement(self, word_identity(r))
 
@@ -285,7 +288,7 @@ class SolvableGroup(GroupHandle):
         return SolvableElement(self, w)
 
     def distance(self, a: SolvableElement, b: SolvableElement) -> int:
-        m = geodesic_length(self.multiply(self.invert(a), b))
+        m = geodesic_length(self.multiply(self.invert(a), b), self.config)
         if not m.exact:
             raise BeyondCapError("geodesic length not exact within the configured thresholds")
         return m.value
@@ -301,7 +304,7 @@ class SolvableGroup(GroupHandle):
             return 0
         # Cyclic subgroups are at most 2-distorted, so |x = b^k| forces
         # |k| <= 2|x|.
-        bound = 2 * geodesic_length(x).value
+        bound = 2 * geodesic_length(x, self.config).value
         target = self.key(x)
         for sign in (1, -1):
             step = b if sign > 0 else self.invert(b)
@@ -318,17 +321,65 @@ class SolvableGroup(GroupHandle):
         # Canonical representative: the (length, key)-least element of the
         # orbit window; 2-bounded distortion keeps every candidate at least
         # as short as g inside the window.
-        glen = geodesic_length(g).value
+        glen = geodesic_length(g, self.config).value
         best = ((glen, self.key(g)))
         for sign in (1, -1):
             step = b if sign > 0 else self.invert(b)
             acc = g
             for _ in range(4 * glen + 2):
                 acc = self.multiply(step, acc)
-                cand = (geodesic_length(acc).value, self.key(acc))
+                cand = (geodesic_length(acc, self.config).value, self.key(acc))
                 if cand < best:
                     best = cand
         return best[1]
+
+    def conjugator(self, b: SolvableElement, c: SolvableElement):
+        """Some z with b z = z c, as a word, or None.
+
+        solvable_conjugacy_test decides.  If b's base part is e, the lift
+        P_z of its witness's base part conjugates.  Otherwise the first
+        candidate conjugator w = (h, z) of the Magnus forms that is an image
+        (divergence delta_e - delta_z) is spelled as
+        prod (P_q x_i P_{q x_i}^-1)^{v_i} * P_z over its flow cells, with
+        one word P_q per vertex, empty at e, so the detours telescope.
+        Images other than e are never inert, and for b != e some
+        candidate's conjugator is an image, so the search is complete.  The
+        word is re-embedded and verified before being returned.
+        """
+        res = solvable_conjugacy_test(b, c)
+        if not res.conjugate:
+            return None
+        u, v, Q = b.form, c.form, self.base
+        ekey = Q.key(Q.identity)
+        gens = [g for _, g in Q.generators()]
+        words = {ekey: word_identity(self.r)}
+
+        def P(q):  # S_{r,d-1} elements carry a word; Z^r takes the axis path
+            word = q.word if isinstance(q, SolvableElement) else FreeWord(
+                self.r, [i if a > 0 else -i for i, a in enumerate(q, 1) for _ in range(abs(a))]
+            )
+            return words.setdefault(Q.key(q), word)
+
+        def image_word():
+            if Q.key(u.b) == ekey:
+                return P(res.witness.b)
+            for z in base_part_candidates(u, v):
+                w = conjugator_for_z(u, v, z)
+                zk = Q.key(z)
+                if w is not None and divergence_of(w) == ({} if zk == ekey else {ekey: 1, zk: -1}):
+                    word = word_identity(self.r)
+                    for q, vec in w.f.values():
+                        for i, (g, n) in enumerate(zip(gens, vec), 1):
+                            if n:
+                                loop = P(q) * FreeWord(self.r, (i,)) * P(Q.multiply(q, g)).inverse()
+                                word = word * loop.power(n)
+                    return word * P(z)
+            raise InvariantViolation("conjugate pair has no image conjugator")
+
+        z = self.from_word(image_word())
+        if self.key(self.multiply(b, z)) != self.key(self.multiply(z, c)):
+            raise InvariantViolation("spelled conjugator failed verification")
+        return z
 
     def to_json(self, a: SolvableElement):
         return {"r": self.r, "d": self.d, "word": word_to_json(a.word)}
@@ -344,14 +395,20 @@ class SolvableGroup(GroupHandle):
         return {"kind": "free_solvable", "r": self.r, "d": self.d}
 
 
+def solvable_group(r: int, d: int, config: RunConfig = DEFAULT):
+    """S_{r,d} under a run config, as a handle cached per config (the seed
+    left out: no group operation reads it); derived length one is the
+    abelianisation Z^r."""
+    return _solvable_group(r, d, config.with_(seed=DEFAULT.seed))
+
+
 @lru_cache(maxsize=None)
-def solvable_group(r: int, d: int):
-    """S_{r,d} as a handle; derived length one is the abelianisation Z^r."""
+def _solvable_group(r: int, d: int, config: RunConfig):
     if r < 1 or d < 1:
         raise ValueError("rank and derived length must be positive")
     if d == 1:
         return ZrHandle(r)
-    return SolvableGroup(r, d)
+    return SolvableGroup(r, d, config)
 
 
 def solvable_eq(u: SolvableElement, v: SolvableElement) -> bool:
@@ -381,9 +438,7 @@ def bilipschitz_check(g: SolvableElement, config: RunConfig = DEFAULT):
     return intrinsic, embedded, ok
 
 
-def solvable_conjugacy_test(
-    u: SolvableElement, v: SolvableElement, config: RunConfig = DEFAULT
-) -> ConjugacyResult:
+def solvable_conjugacy_test(u: SolvableElement, v: SolvableElement) -> ConjugacyResult:
     """Conjugacy in S_{r,d}, decided on the Magnus images.
 
     The base quotient S_{r,d-1} is torsion-free, so conjugacy of the images
@@ -392,4 +447,4 @@ def solvable_conjugacy_test(
     """
     if u.group != v.group:
         raise ValueError("elements of different free solvable groups")
-    return conjugacy_test(u.form, v.form, config)
+    return conjugacy_test(u.form, v.form)

@@ -36,7 +36,7 @@ from typing import NamedTuple, Optional
 
 from .config import DEFAULT, RunConfig
 from .errors import BeyondCapError, InvariantViolation
-from .groups import GroupHandle, ball_layers, enumerate_finite
+from .groups import GroupHandle
 
 
 class Measure(NamedTuple):
@@ -369,37 +369,17 @@ def _coset_buckets(u: WreathElement, v: WreathElement, z):
     return buckets, order_n
 
 
-def _lamp_conjugator(A, x, y, config: RunConfig):
-    """Some alpha in A with x * alpha = alpha * y, or None.
-
-    Abelian lamp groups need x == y and take alpha = identity; finite lamp
-    groups are searched exhaustively.
-    """
-    if A.key(x) == A.key(y):
-        return A.identity
-    if A.is_abelian:
-        return None
-    if A.is_finite:
-        for _, alpha in enumerate_finite(A):
-            if A.key(A.multiply(x, alpha)) == A.key(A.multiply(alpha, y)):
-                return alpha
-        return None
-    raise BeyondCapError("lamp conjugator search needs an abelian or finite lamp group")
-
-
-def conjugator_for_z(
-    u: WreathElement, v: WreathElement, z, config: RunConfig = DEFAULT
-) -> Optional[WreathElement]:
+def conjugator_for_z(u: WreathElement, v: WreathElement, z) -> Optional[WreathElement]:
     """The conjugator (h, z) with u (h,z) = (h,z) v for this base part, or
     None when no conjugator with base part z exists.
 
     h is assembled per coset from prefix products: writing F_k (resp. G_k)
     for the product of the f values (resp. shifted g values) at exponents
-    <= k, higher exponent on the left, the infinite-order case takes
-    h(b^k t) = F_k G_k^-1 and needs F = G at the top of every coset for h
-    to have finite support; the finite-order-N case takes
-    h(b^k t) = F_k alpha G_k^-1 for any alpha conjugating the full coset
-    products.  The returned element is verified before being returned.
+    <= k, higher exponent on the left, h(b^k t) = F_k alpha G_k^-1.  The
+    infinite-order case needs F = G at the top of every coset for h to have
+    finite support and takes alpha = 1; the finite-order-N case takes the
+    alpha = A.conjugator of the full coset products.  The returned element
+    is verified before being returned.
     """
     _check_groups(u, v)
     A, B = u.lamp, u.base
@@ -412,37 +392,25 @@ def conjugator_for_z(
     pairs = []
     for ck in sorted(buckets):
         t, fmap, gmap = buckets[ck]
+        pf = _ordered_product(A, fmap.items())
+        pg = _ordered_product(A, gmap.items())
         if order_n is None:
-            if A.key(_ordered_product(A, fmap.items())) != A.key(
-                _ordered_product(A, gmap.items())
-            ):
-                return None
+            alpha = A.identity if A.key(pf) == A.key(pg) else None
             js = set(fmap) | set(gmap)
-            lo, hi = min(js), max(js)
-            fcur = gcur = A.identity
-            for k in range(lo, hi):
-                if k in fmap:
-                    fcur = A.multiply(fmap[k], fcur)
-                if k in gmap:
-                    gcur = A.multiply(gmap[k], gcur)
-                val = A.multiply(fcur, A.invert(gcur))
-                if A.key(val) != A.key(A.identity):
-                    pairs.append((B.multiply(B.power(u.b, k), t), val))
+            ks = range(min(js), max(js))
         else:
-            pf = _ordered_product(A, fmap.items())
-            pg = _ordered_product(A, gmap.items())
-            alpha = _lamp_conjugator(A, pf, pg, config)
-            if alpha is None:
-                return None
-            fcur = gcur = A.identity
-            for k in range(order_n):
-                if k in fmap:
-                    fcur = A.multiply(fmap[k], fcur)
-                if k in gmap:
-                    gcur = A.multiply(gmap[k], gcur)
-                val = A.multiply(A.multiply(fcur, alpha), A.invert(gcur))
-                if A.key(val) != A.key(A.identity):
-                    pairs.append((B.multiply(B.power(u.b, k), t), val))
+            alpha, ks = A.conjugator(pf, pg), range(order_n)
+        if alpha is None:
+            return None
+        fcur = gcur = A.identity
+        for k in ks:
+            if k in fmap:
+                fcur = A.multiply(fmap[k], fcur)
+            if k in gmap:
+                gcur = A.multiply(gmap[k], gcur)
+            val = A.multiply(A.multiply(fcur, alpha), A.invert(gcur))
+            if A.key(val) != A.key(A.identity):
+                pairs.append((B.multiply(B.power(u.b, k), t), val))
 
     witness = wreath_element(A, B, pairs, z)
     if w_multiply(u, witness) != w_multiply(witness, v):
@@ -490,7 +458,7 @@ class ConjugacyResult:
         return self.conjugate
 
 
-def base_part_candidates(u: WreathElement, v: WreathElement, config: RunConfig = DEFAULT):
+def base_part_candidates(u: WreathElement, v: WreathElement):
     """Yield base parts z with bz = zc, in a fixed order, such that
     u = (f, b) and v = (g, c) are conjugate iff conjugator_for_z finds a
     conjugator at one of them.
@@ -503,43 +471,36 @@ def base_part_candidates(u: WreathElement, v: WreathElement, config: RunConfig =
     a power of b times one of at most |Supp f| candidates (Matthews, Trans.
     AMS 1966; Vassileva, GCC 2011).
 
-    Inert pairs reduce to conjugacy of b and c in B: the candidates are the
-    identity when B is abelian and all of B when B is finite (both
-    complete), otherwise the ball of radius 3(|u|+|v|) + config.z_scan_slack,
-    which is complete only up to that radius.
+    Inert pairs are conjugate iff b and c are conjugate in B, and then by a
+    conjugator with any base part that conjugates b to c (Matthews): the
+    one candidate is B.conjugator(b, c), so the decision recurses into B,
+    which decides under the config it was built with.
     """
     _check_groups(u, v)
-    return _base_parts(u, v, _projecting_point(v), config)
+    return _base_parts(u, v, _projecting_point(v))
 
 
-def _base_parts(u: WreathElement, v: WreathElement, p, config: RunConfig):
+def _base_parts(u: WreathElement, v: WreathElement, p):
     """base_part_candidates with p = _projecting_point(v) already found."""
     B = u.base
     if p is not None:
         pinv = B.invert(p)
         zs = (B.multiply(s, pinv) for s in u.support())  # distinct: s -> s p^-1 is injective
-    elif B.is_abelian:
-        zs = [B.identity]
-    elif B.is_finite:
-        zs = (z for _, z in enumerate_finite(B))
     else:
-        radius = 3 * (w_length(u, config) + w_length(v, config)).value + config.z_scan_slack
-        zs = (z for _, layer in ball_layers(B, radius) for _, z in layer)
+        z0 = B.conjugator(u.b, v.b)
+        zs = [] if z0 is None else [z0]
     for z in zs:
         if B.key(B.multiply(u.b, z)) == B.key(B.multiply(z, v.b)):
             yield z
 
 
-def conjugacy_test(
-    u: WreathElement, v: WreathElement, config: RunConfig = DEFAULT
-) -> ConjugacyResult:
+def conjugacy_test(u: WreathElement, v: WreathElement) -> ConjugacyResult:
     """Decide conjugacy of u and v in A wr B by trying the base parts of
     base_part_candidates: at most |Supp u| of them for pairs that are not
-    conjugate to a lamp-free element, and the conjugators of the base parts
-    in B for pairs that are.  The decision is complete except when an inert
-    pair over an infinite non-abelian B exhausts its radius-bounded scan.
-    The returned result records which case decided it and whether the
-    decision is complete.
+    conjugate to a lamp-free element, and one conjugator of the base parts
+    in B for pairs that are.  Lamp conjugators of finite-order base parts
+    come from A.conjugator, so the decision recurses into A and B and is
+    always complete; the returned result records which case decided it.
     """
     _check_groups(u, v)
     B = u.base
@@ -552,51 +513,13 @@ def conjugacy_test(
         return ConjugacyResult(False, None, True, "projection-mismatch")
 
     case = "inert-base" if inert else "scan"
-    for z in _base_parts(u, v, p, config):
-        witness = conjugator_for_z(u, v, z, config)
+    for z in _base_parts(u, v, p):
+        witness = conjugator_for_z(u, v, z)
         if witness is not None:
             return ConjugacyResult(True, witness, True, case)
-        if inert and B.is_abelian:
-            raise InvariantViolation("inert pair lost its identity conjugator")
-    if not inert:
-        return ConjugacyResult(False, None, True, "scan-exhausted")
-    if B.is_abelian or B.is_finite:
-        return ConjugacyResult(False, None, True, "inert-base")
-    return ConjugacyResult(False, None, False, "inert-base-scan-exhausted")
-
-
-def minimal_conjugator(
-    u: WreathElement,
-    v: WreathElement,
-    z_radius: int,
-    config: RunConfig = DEFAULT,
-):
-    """The radius-bounded brute-force reference: scan every base part in
-    ball(B, z_radius) and return the shortest verified conjugator with its
-    length, or None.
-
-    Minimising over all conjugators needs, per candidate of
-    base_part_candidates, a window of b^j shifts whose size depends on how
-    distorted <b> is in B, so the caller supplies the radius together with
-    its own completeness argument.
-    """
-    _check_groups(u, v)
-    B = u.base
-    best = None
-    for _, layer in ball_layers(B, z_radius):
-        for _, z in layer:
-            if B.key(B.multiply(u.b, z)) != B.key(B.multiply(z, v.b)):
-                continue
-            witness = conjugator_for_z(u, v, z, config)
-            if witness is None:
-                continue
-            length = w_length(witness, config)
-            if best is None or (length.value, witness.key()) < (
-                best[1].value,
-                best[0].key(),
-            ):
-                best = (witness, length)
-    return best
+        if inert:
+            raise InvariantViolation("inert pair lost its base conjugator")
+    return ConjugacyResult(False, None, True, case if inert else "scan-exhausted")
 
 
 def upper_bound_formula(n: int, P: int, delta=None, order=None, clf_a=None) -> int:
@@ -694,6 +617,9 @@ class WreathGroup(GroupHandle):
                     return sign * k
                 acc = w_multiply(acc, step)
         return 0 if x.is_identity else None
+
+    def conjugator(self, b, c):
+        return conjugacy_test(b, c).witness
 
     def coset_key(self, b, g):
         raise NotImplementedError("coset keys over wreath bases are not needed by the shipped machinery")

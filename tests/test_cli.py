@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from magnuskit import magnus, wreath
 from magnuskit.cli import main
 from magnuskit.groups import ZrHandle
 from magnuskit.wreath import element_from_json
@@ -94,6 +95,64 @@ def test_wreath_conj_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["conjugate"] and payload["witness_length_exact"]
+
+
+S22_DESC = '{"kind":"free_solvable","r":2,"d":2}'
+
+
+def _lamp_free(word):
+    return json.dumps({"f": [], "b": {"word": word}})
+
+
+def test_wreath_conj_inert_pair_over_free_solvable_base(capsys, monkeypatch):
+    # lamp-free pairs are decided by conjugacy in S_{2,2}, not by a ball
+    # scan: each level of the recursion tries at most one base part
+    calls = []
+    build = wreath.conjugator_for_z
+
+    def counting(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(wreath, "conjugator_for_z", counting)
+    monkeypatch.setattr(magnus, "conjugator_for_z", counting)
+    code, out, _ = run(
+        capsys, "wreath-conj", _lamp_free([1, 1]), _lamp_free([1, 2]),
+        "--lamp", '{"kind":"Zr","r":1}', "--base", S22_DESC,
+    )
+    assert code == 1 and not calls
+    payload = json.loads(out)
+    assert payload["complete"] is True and payload["case"] == "inert-base"
+    code, out, _ = run(
+        capsys, "wreath-conj", _lamp_free([1]), _lamp_free([-2, 1, 2]),
+        "--lamp", '{"kind":"Zr","r":1}', "--base", S22_DESC,
+    )
+    assert code == 0 and len(calls) <= 3
+    witness = json.loads(out)["witness"]
+    assert witness["f"] == [] and witness["b"]["word"] == [2]
+
+
+def test_config_caps_reach_free_solvable_base(capsys, tmp_path):
+    # a lamp whose position has several flow components: with no
+    # off-support edges allowed its coset key cannot be computed
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"walk_cost_cap": 0}))
+    at = {"word": [1, 2, -1, -2, 1, 1, 1, 2, 1, -2, -1]}
+    u = json.dumps({"f": [{"at": at, "val": [1]}], "b": {"word": [1]}})
+    v = json.dumps({"f": [{"at": {"word": []}, "val": [1]}], "b": {"word": [1]}})
+    argv = ["wreath-conj", u, v, "--lamp", '{"kind":"Zr","r":1}', "--base", S22_DESC]
+    code, _, _ = run(capsys, *argv)
+    assert code == 1
+    code, _, err = run(capsys, "--config", str(cfgfile), *argv)
+    assert code == 3 and "beyond-cap" in err
+
+
+def test_text_format_is_rejected(capsys):
+    code, _, _ = run(
+        capsys, "--format", "text", "distortion", "--group", '{"kind":"Zr","r":2}',
+        "--x", "x1", "--n-max", "2", "--seed", "1",
+    )
+    assert code == 2
 
 
 def test_distortion_csv(capsys):
@@ -217,7 +276,7 @@ def test_config_file_and_json_format(capsys, tmp_path):
     assert rows[0]["n"] == 1 and rows[0]["measured"] == 1
 
 
-@pytest.mark.parametrize("key", ["no_such_option", "jobs"])
+@pytest.mark.parametrize("key", ["no_such_option", "jobs", "z_scan_slack"])
 def test_bad_config_key_is_parse_error(capsys, tmp_path, key):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({key: 1}))

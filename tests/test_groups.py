@@ -15,7 +15,9 @@ from magnuskit.groups import (
     enumerate_finite,
     handle_from_descriptor,
 )
+from magnuskit.magnus import SolvableElement, magnus_embed, solvable_group
 from magnuskit.words import FreeWord
+from magnuskit.wreath import WreathGroup
 
 HANDLES = [
     ZrHandle(2),
@@ -260,3 +262,33 @@ def test_element_json_round_trip():
         for _ in range(20):
             g = _random_element(handle, rng, steps=4)
             assert handle.key(handle.from_json(handle.to_json(g))) == handle.key(g)
+
+
+@pytest.mark.parametrize(
+    "handle",
+    HANDLES + [solvable_group(2, 2), solvable_group(2, 3), WreathGroup(ZrHandle(1), ZrHandle(2))],
+    ids=lambda h: h.kind if h.kind != "free_solvable" else f"S2{h.d}",
+)
+def test_conjugator(handle):
+    # half the pairs are conjugate by construction; None must be backed by
+    # a small ball holding no conjugator either
+    rng = random.Random(70)
+    small = ball(handle, 2)
+    for i in range(24):
+        b = _random_element(handle, rng, steps=5)
+        if i % 2 == 0:
+            g = _random_element(handle, rng, steps=3)
+            c = handle.multiply(handle.multiply(handle.invert(g), b), g)
+        else:
+            c = _random_element(handle, rng, steps=5)
+        z = handle.conjugator(b, c)
+        if z is None:
+            assert i % 2
+            assert all(
+                handle.key(handle.multiply(b, y)) != handle.key(handle.multiply(y, c))
+                for y, _ in small.values()
+            )
+            continue
+        assert handle.key(handle.multiply(b, z)) == handle.key(handle.multiply(z, c))
+        if isinstance(z, SolvableElement):
+            assert magnus_embed(z.word, handle.base) == z.form

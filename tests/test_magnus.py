@@ -302,6 +302,18 @@ def test_solvable_conjugacy_depth3():
     assert not far.conjugate and far.complete and far.case == "scan-exhausted"
 
 
+def test_solvable_conjugator_in_the_derived_subgroup():
+    # u has base part e, so the lamp part of a conjugator is free: the
+    # conjugator is the lift of the candidate base part, an element of S_{2,2}
+    u = S22.from_word(FreeWord(2, (-2, -1, 2, 1)))
+    g = S22.from_word(FreeWord(2, (2, 2)))
+    v = S22.multiply(S22.multiply(S22.invert(g), u), g)
+    z = S22.conjugator(u, v)
+    assert S22.key(S22.multiply(u, z)) == S22.key(S22.multiply(z, v))
+    assert magnus_embed(z.word, Z2) == z.form
+    assert S22.conjugator(u, S22.from_word(FreeWord(2, (1, 2, -1, -2)))) is None
+
+
 def test_non_inert_decision_tries_at_most_the_support(monkeypatch):
     # u vs u[x1,x2] with |u| = 3: not conjugate and not inert, so the whole
     # candidate set is tried; it has at most |Supp u| base parts

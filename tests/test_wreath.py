@@ -5,7 +5,7 @@ import pytest
 
 from magnuskit.config import DEFAULT
 from magnuskit.errors import BeyondCapError
-from magnuskit.groups import HeisenbergHandle, PermHandle, ZNHandle, ZrHandle, ball_layers
+from magnuskit.groups import FreeHandle, HeisenbergHandle, PermHandle, ZNHandle, ZrHandle, ball_layers
 from magnuskit.wreath import (
     Measure,
     WreathGroup,
@@ -17,7 +17,6 @@ from magnuskit.wreath import (
     identity_element,
     is_inert,
     lamp_generator,
-    minimal_conjugator,
     pi_projection,
     travel_cost,
     upper_bound_formula,
@@ -28,6 +27,7 @@ from magnuskit.wreath import (
     w_power,
     wreath_element,
 )
+from magnuskit.words import random_word
 
 Z = ZrHandle(1)
 Z2 = ZrHandle(2)
@@ -276,6 +276,25 @@ def test_pi_invariance_for_conjugate_pairs():
 # -- full conjugacy decision -------------------------------------------------------
 
 
+def minimal_conjugator(u, v, z_radius, config=DEFAULT):
+    """The radius-bounded brute-force reference: scan every base part in
+    ball(B, z_radius) and return the shortest verified conjugator with its
+    length, or None."""
+    B = u.base
+    best = None
+    for _, layer in ball_layers(B, z_radius):
+        for _, z in layer:
+            if B.key(B.multiply(u.b, z)) != B.key(B.multiply(z, v.b)):
+                continue
+            witness = conjugator_for_z(u, v, z)
+            if witness is None:
+                continue
+            length = w_length(witness, config)
+            if best is None or (length.value, witness.key()) < (best[1].value, best[0].key()):
+                best = (witness, length)
+    return best
+
+
 def _brute_conjugate(G, u, v, radius):
     for _, layer in ball_layers(G, radius):
         for _, gamma in layer:
@@ -378,6 +397,48 @@ def test_conjugacy_over_heisenberg_agrees_with_reference_scan():
             assert res.conjugate
         if res.conjugate:
             assert w_multiply(u, res.witness) == w_multiply(res.witness, v)
+
+
+@pytest.mark.parametrize("base", [HeisenbergHandle(cap=12), FreeHandle(2)], ids=lambda h: h.kind)
+def test_inert_pairs_agree_with_reference_scan(base):
+    # inert pairs reduce to conjugacy of their base parts, decided by
+    # base.conjugator instead of a ball scan
+    rng = random.Random(62)
+
+    def base_elem(n):
+        return base.from_word(random_word(2, n, rng))
+
+    def inert(b):
+        alpha = wreath_element(Z, base, [(base_elem(2), (rng.randint(-2, 2),))], base.identity)
+        return w_conjugate(wreath_element(Z, base, [], b), alpha)
+
+    negatives = 0
+    for i in range(30):
+        b = base_elem(rng.randint(1, 3))
+        g = base_elem(rng.randint(0, 2))
+        c = base.multiply(base.multiply(base.invert(g), b), g) if i % 2 == 0 else base_elem(rng.randint(1, 3))
+        u, v = inert(b), inert(c)
+        assert is_inert(u) and is_inert(v)
+        res = conjugacy_test(u, v)
+        assert res.complete and res.case in ("inert-base", "order-mismatch")
+        assert res.conjugate == (minimal_conjugator(u, v, z_radius=3) is not None)
+        if res.conjugate:
+            assert w_multiply(u, res.witness) == w_multiply(res.witness, v)
+        negatives += not res.conjugate
+    assert negatives
+
+
+def test_conjugacy_heisenberg_lamp_finite_base():
+    # finite-order base parts need lamp conjugators in an infinite
+    # non-abelian lamp group
+    G = WreathGroup(HeisenbergHandle(cap=8), ZNHandle(2))
+    rng = random.Random(63)
+    for _ in range(40):
+        u = _rand_elem(G, rng, steps=6)
+        v = w_conjugate(u, _rand_elem(G, rng, steps=6))
+        res = conjugacy_test(u, v)
+        assert res.conjugate and res.complete
+        assert w_multiply(u, res.witness) == w_multiply(res.witness, v)
 
 
 def test_minimal_conjugator_inert_pairs_take_base_minimum():
