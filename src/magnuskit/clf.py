@@ -33,6 +33,7 @@ from .wreath import (
     WreathElement,
     WreathGroup,
     base_part_candidates,
+    conjugacy_test,
     conjugator_for_z,
     identity_element,
     is_inert,
@@ -368,13 +369,9 @@ def random_wreath_element(
 
 
 def first_witness_scan(u, v):
-    """First verified conjugator in the order of base_part_candidates, or
-    None.  Used where any witness upper-bounds the minimum."""
-    for z in base_part_candidates(u, v):
-        witness = conjugator_for_z(u, v, z)
-        if witness is not None:
-            return witness
-    return None
+    """conjugacy_test's verified conjugator, or None.  Used where any
+    witness upper-bounds the minimum."""
+    return conjugacy_test(u, v).witness
 
 
 def clf_scan(

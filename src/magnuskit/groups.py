@@ -2,8 +2,8 @@
 
 A handle supplies the identity, labelled generators, total multiply/invert,
 a canonical key (equal keys iff equal elements), an exact left-invariant
-word metric, order and power queries, right-coset keys for cyclic
-subgroups, and a conjugacy decision with a conjugator.  Shipped handles:
+word metric, order and power queries, and a conjugacy decision with a
+conjugator.  Shipped handles:
 
     ZrHandle        Z^r with the L1 metric (closed form)
     ZNHandle        Z/N with the cyclic metric (closed form)
@@ -38,8 +38,8 @@ class GroupHandle:
 
     # -- required operations -------------------------------------------
     # identity (attribute), generators(), multiply, invert, key,
-    # from_word, distance, order, power_membership, coset_key,
-    # conjugator, to_json, from_json, describe
+    # from_word, distance, order, power_membership, conjugator,
+    # to_json, from_json, describe
 
     def generators(self):
         raise NotImplementedError
@@ -257,13 +257,6 @@ class ZrHandle(GroupHandle):
         k = x[j] // b[j]
         return k if self.power(b, k) == tuple(x) else None
 
-    def coset_key(self, b, g):
-        if b == self.identity:
-            return self.key(g)
-        j = next(i for i, c in enumerate(b) if c)
-        k = g[j] // b[j]
-        return tuple(x - k * y for x, y in zip(g, b))
-
     def to_json(self, a):
         return list(a)
 
@@ -328,9 +321,6 @@ class ZNHandle(GroupHandle):
             return None
         m = self.n // g
         return (x // g) * pow(b // g, -1, m) % m if m > 1 else 0
-
-    def coset_key(self, b, g):
-        return g % gcd(b % self.n, self.n)
 
     def to_json(self, a):
         return int(a)
@@ -422,14 +412,6 @@ class PermHandle(GroupHandle):
                 return k
             acc = self.multiply(acc, b)
         return None
-
-    def coset_key(self, b, g):
-        orbit = []
-        acc = tuple(g)
-        for _ in range(self.order(b)):
-            orbit.append(self.key(acc))
-            acc = self.multiply(b, acc)
-        return min(orbit)
 
     def to_json(self, a):
         return list(a)
@@ -543,18 +525,6 @@ class HeisenbergHandle(GroupHandle):
             return None
         return (-t * k, s * k, 0)
 
-    def coset_key(self, b, g):
-        if tuple(b) == self.identity:
-            return self.key(g)
-        a1, b1, c1 = b
-        if a1:
-            k = g[0] // a1
-        elif b1:
-            k = g[1] // b1
-        else:
-            k = g[2] // c1
-        return self.key(self.multiply(self.power(b, -k), g))
-
     def to_json(self, a):
         return list(a)
 
@@ -642,20 +612,6 @@ class FreeHandle(GroupHandle):
             if b0[i:] + b0[:i] == c0:
                 return p * FreeWord(self.rank, b0[:i], _reduced=True) * q.inverse()
         return None
-
-    def coset_key(self, b, g):
-        if b.is_identity:
-            return self.key(g)
-        best = (len(g), g.letters)
-        for sign in (1, -1):
-            step = b if sign > 0 else b.inverse()
-            acc = g
-            # Orbit lengths satisfy |b^k g| >= k - |g|, so every candidate
-            # at least as short as g is seen before the cutoff.
-            for _ in range(2 * len(g) + 2):
-                acc = step * acc
-                best = min(best, (len(acc), acc.letters))
-        return best[1]
 
     def to_json(self, a):
         return list(a.letters)

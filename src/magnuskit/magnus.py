@@ -315,24 +315,6 @@ class SolvableGroup(GroupHandle):
                 acc = self.multiply(acc, step)
         return None
 
-    def coset_key(self, b: SolvableElement, g: SolvableElement):
-        if b.is_identity:
-            return self.key(g)
-        # Canonical representative: the (length, key)-least element of the
-        # orbit window; 2-bounded distortion keeps every candidate at least
-        # as short as g inside the window.
-        glen = geodesic_length(g, self.config).value
-        best = ((glen, self.key(g)))
-        for sign in (1, -1):
-            step = b if sign > 0 else self.invert(b)
-            acc = g
-            for _ in range(4 * glen + 2):
-                acc = self.multiply(step, acc)
-                cand = (geodesic_length(acc, self.config).value, self.key(acc))
-                if cand < best:
-                    best = cand
-        return best[1]
-
     def conjugator(self, b: SolvableElement, c: SolvableElement):
         """Some z with b z = z c, as a word, or None.
 

@@ -18,10 +18,13 @@ free-solvable connection cost of the magnus module uses the same kernel.
 Conjugacy is decided through coset projections: fix b and a right-coset
 representative t of <b>; the ordered product of the lamp values of f along
 the coset (higher power of b multiplying on the left), optionally shifted
-by z, is the invariant pi_t^(z)(f).  Two elements (f,b), (g,c) are
-conjugate iff some z with bz = zc matches the projections on every coset
-(equality for b of infinite order, A-conjugacy for finite order), and the
-conjugator (h, z) is assembled from prefix products along each coset.
+by z, is the invariant pi_t^(z)(f).  Support points are grouped into
+cosets by power membership alone: p lies in <b>t iff p t^-1 is a power of
+b, which also gives p's exponent along the coset.  Two elements (f,b),
+(g,c) are conjugate iff some z with bz = zc matches the projections on
+every coset (equality for b of infinite order, A-conjugacy for finite
+order), and the conjugator (h, z) is assembled from prefix products along
+each coset.
 One generator, base_part_candidates, supplies the base parts z to try: a
 conjugator must carry a nontrivially projecting coset of g onto a coset
 through Supp f, which leaves at most |Supp f| candidates up to powers of b,
@@ -337,36 +340,28 @@ def pi_projection(u: WreathElement, t, z=None):
     return _ordered_product(A, entries)
 
 
-def _coset_buckets(u: WreathElement, v: WreathElement, z):
-    """Group both supports by the <b>-coset they (after shifting v's support
-    by z) fall into.  Returns coset key -> (rep t, {j: f value}, {j: g value})."""
-    B = u.base
-    b = u.b
-    order_n = B.order(b)
-    buckets: dict = {}
+def _cosets(B, b, order_n, *sides):
+    """Sort the (point, value) pairs of each side into right cosets of <b>
+    by power membership alone: a point joins the first open coset <b>t
+    that _coset_j places it in, or opens a new one with itself as t and
+    j = 0.  Returns [(t, ({j: value} per side))] in first-seen order."""
+    cosets = []
+    for i, side in enumerate(sides):
+        for point, val in side:
+            for t, maps in cosets:
+                j = _coset_j(B, b, order_n, point, t)
+                if j is not None:
+                    break
+            else:
+                j, maps = 0, tuple({} for _ in sides)
+                cosets.append((point, maps))
+            maps[i][j] = val
+    return cosets
 
-    def bucket_for(point):
-        ck = B.coset_key(b, point)
-        if ck not in buckets:
-            buckets[ck] = (point, {}, {})
-        return buckets[ck]
 
-    for k in sorted(u.f):
-        pos, val = u.f[k]
-        t, fmap, _ = bucket_for(pos)
-        j = _coset_j(B, b, order_n, pos, t)
-        if j is None:
-            raise InvariantViolation("support point escaped its own coset")
-        fmap[j] = val
-    for k in sorted(v.f):
-        pos, val = v.f[k]
-        shifted = B.multiply(z, pos)
-        t, _, gmap = bucket_for(shifted)
-        j = _coset_j(B, b, order_n, shifted, t)
-        if j is None:
-            raise InvariantViolation("shifted support point escaped its coset")
-        gmap[j] = val
-    return buckets, order_n
+def _sorted_support(u: WreathElement):
+    """(point, value) pairs of u in canonical key order."""
+    return [u.f[k] for k in sorted(u.f)]
 
 
 def conjugator_for_z(u: WreathElement, v: WreathElement, z) -> Optional[WreathElement]:
@@ -385,13 +380,13 @@ def conjugator_for_z(u: WreathElement, v: WreathElement, z) -> Optional[WreathEl
     A, B = u.lamp, u.base
     if B.key(B.multiply(u.b, z)) != B.key(B.multiply(z, v.b)):
         return None
-    if B.order(u.b) != B.order(v.b):
+    order_n = B.order(u.b)
+    if order_n != B.order(v.b):
         return None
 
-    buckets, order_n = _coset_buckets(u, v, z)
+    shifted = [(B.multiply(z, pos), val) for pos, val in _sorted_support(v)]
     pairs = []
-    for ck in sorted(buckets):
-        t, fmap, gmap = buckets[ck]
+    for t, (fmap, gmap) in _cosets(B, u.b, order_n, _sorted_support(u), shifted):
         pf = _ordered_product(A, fmap.items())
         pg = _ordered_product(A, gmap.items())
         if order_n is None:
@@ -422,17 +417,9 @@ def _projecting_point(u: WreathElement):
     """A support point of u whose <b>-coset has a nontrivial projection,
     or None when every coset projection of the lamp part is trivial."""
     A, B = u.lamp, u.base
-    order_n = B.order(u.b)
-    buckets: dict = {}
-    for k in sorted(u.f):
-        pos, val = u.f[k]
-        ck = B.coset_key(u.b, pos)
-        t = buckets.setdefault(ck, (pos, []))[0]
-        j = _coset_j(B, u.b, order_n, pos, t)
-        buckets[ck][1].append((j, val))
     ekey = A.key(A.identity)
-    for t, entries in buckets.values():
-        if A.key(_ordered_product(A, entries)) != ekey:
+    for t, (fmap,) in _cosets(B, u.b, B.order(u.b), _sorted_support(u)):
+        if A.key(_ordered_product(A, fmap.items())) != ekey:
             return t
     return None
 
@@ -620,9 +607,6 @@ class WreathGroup(GroupHandle):
 
     def conjugator(self, b, c):
         return conjugacy_test(b, c).witness
-
-    def coset_key(self, b, g):
-        raise NotImplementedError("coset keys over wreath bases are not needed by the shipped machinery")
 
     def to_json(self, a):
         return element_to_json(a)

@@ -133,12 +133,15 @@ def test_wreath_conj_inert_pair_over_free_solvable_base(capsys, monkeypatch):
 
 
 def test_config_caps_reach_free_solvable_base(capsys, tmp_path):
-    # a lamp whose position has several flow components: with no
-    # off-support edges allowed its coset key cannot be computed
+    # u's second lamp sits at x1^2 [x1,x2] x1^-2, a loop away from the
+    # identity: with no off-support edges allowed, its length, which bounds
+    # the power search placing it in the first lamp's coset, cannot be
+    # computed
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"walk_cost_cap": 0}))
-    at = {"word": [1, 2, -1, -2, 1, 1, 1, 2, 1, -2, -1]}
-    u = json.dumps({"f": [{"at": at, "val": [1]}], "b": {"word": [1]}})
+    at = {"word": [1, 1, 1, 2, -1, -2, -1, -1]}
+    lamps = [{"at": {"word": []}, "val": [1]}, {"at": at, "val": [1]}]
+    u = json.dumps({"f": lamps, "b": {"word": [1]}})
     v = json.dumps({"f": [{"at": {"word": []}, "val": [1]}], "b": {"word": [1]}})
     argv = ["wreath-conj", u, v, "--lamp", '{"kind":"Zr","r":1}', "--base", S22_DESC]
     code, _, _ = run(capsys, *argv)

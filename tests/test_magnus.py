@@ -285,8 +285,8 @@ def test_solvable_conjugacy_examples():
 
 
 def test_solvable_conjugacy_depth3():
-    # the recursion one level up: base parts live in S_{2,2}, driving the
-    # solvable coset keys and bounded power searches
+    # the recursion one level up: base parts live in S_{2,2}, whose bounded
+    # power searches sort support points into cosets
     S3 = solvable_group(2, 3)
     u = S3.from_word(FreeWord(2, (1,)))
     gamma = S3.from_word(FreeWord(2, (2, 1)))
@@ -300,6 +300,35 @@ def test_solvable_conjugacy_depth3():
     # supports, not from a ball of S_{2,2}
     far = solvable_conjugacy_test(u, S3.from_word(FreeWord(2, (1, 1, 2, -1, -2))))
     assert not far.conjugate and far.complete and far.case == "scan-exhausted"
+
+
+def test_depth3_decisions_take_no_more_lengths_than_membership_queries(monkeypatch):
+    # support points join cosets by power membership alone, and each query
+    # takes at most one length for its exponent bound
+    calls = {"length": 0, "member": 0}
+    length, member = magnus.geodesic_length, magnus.SolvableGroup.power_membership
+
+    def counting_length(*args, **kwargs):
+        calls["length"] += 1
+        return length(*args, **kwargs)
+
+    def counting_member(*args, **kwargs):
+        calls["member"] += 1
+        return member(*args, **kwargs)
+
+    monkeypatch.setattr(magnus, "geodesic_length", counting_length)
+    monkeypatch.setattr(magnus.SolvableGroup, "power_membership", counting_member)
+    S3 = solvable_group(2, 3)
+    u = S3.from_word(FreeWord(2, (1,)))
+    gamma = S3.from_word(FreeWord(2, (2, 1)))
+    for a, b in (
+        (u, S3.multiply(S3.multiply(S3.invert(gamma), u), gamma)),
+        (S3.identity, u),
+        (u, S3.from_word(FreeWord(2, (1, 1, 2, -1, -2)))),
+    ):
+        solvable_conjugacy_test(a, b)
+    assert calls["member"] > 0
+    assert calls["length"] <= calls["member"]
 
 
 def test_solvable_conjugator_in_the_derived_subgroup():
@@ -337,8 +366,8 @@ def test_non_inert_decision_tries_at_most_the_support(monkeypatch):
 
 
 def test_conjugacy_finds_each_projecting_point_once(monkeypatch):
-    # over an S_{2,2} base every coset_key walks an orbit window with a
-    # geodesic length per step, so v's projecting point is found only once
+    # over an S_{2,2} base every coset membership query takes a geodesic
+    # length and a power search, so v's projecting point is found only once
     from magnuskit import wreath
 
     seen = []
@@ -410,24 +439,6 @@ def test_solvable_order_and_powers():
     assert S22.power_membership(x1, x2) is None
     with pytest.raises(ValueError):
         S22.power_membership(x1, S22.identity)
-
-
-def test_solvable_coset_key_constant_on_cosets():
-    b = S22.from_word(FreeWord(2, (1, 2)))
-    rng = random.Random(57)
-    for _ in range(10):
-        g = S22.from_word(random_word(2, rng.randint(0, 3), rng))
-        k = rng.randint(-2, 2)
-        shifted = S22.multiply(_power(S22, b, k), g)
-        assert S22.coset_key(b, g) == S22.coset_key(b, shifted)
-
-
-def _power(G, b, k):
-    acc = G.identity
-    step = b if k >= 0 else G.invert(b)
-    for _ in range(abs(k)):
-        acc = G.multiply(acc, step)
-    return acc
 
 
 def test_solvable_element_json():

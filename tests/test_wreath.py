@@ -264,12 +264,11 @@ def test_pi_invariance_for_conjugate_pairs():
         gamma = _rand_elem(G, rng)
         v = w_conjugate(u, gamma)
         z = gamma.b
-        reps = {}
-        for pos, _ in list(u.f.values()) + [
-            (B.multiply(z, p), None) for p, _ in v.f.values()
-        ]:
-            reps.setdefault(B.coset_key(u.b, pos), pos)
-        for t in reps.values():
+        reps = []
+        for pos in [p for p, _ in u.f.values()] + [B.multiply(z, p) for p, _ in v.f.values()]:
+            if all(B.power_membership(B.multiply(pos, B.invert(t)), u.b) is None for t in reps):
+                reps.append(pos)
+        for t in reps:
             assert pi_projection(u, t) == pi_projection(v, t, z=z)
 
 
@@ -397,6 +396,25 @@ def test_conjugacy_over_heisenberg_agrees_with_reference_scan():
             assert res.conjugate
         if res.conjugate:
             assert w_multiply(u, res.witness) == w_multiply(res.witness, v)
+
+
+@pytest.mark.parametrize("inner", [ZNHandle(2), Z], ids=["Z2wrZ", "ZwrZ"])
+def test_conjugacy_over_wreath_bases(inner):
+    # a wreath product as the base: cosets of <b> are found by the base's
+    # power membership, so built pairs are conjugate and no pair with a
+    # conjugator in the radius-4 ball is answered "not conjugate"
+    G = WreathGroup(Z, WreathGroup(inner, Z))
+    rng = random.Random(63)
+    for i in range(40):
+        u = _rand_elem(G, rng, steps=4)
+        built = i % 2 == 0
+        v = w_conjugate(u, _rand_elem(G, rng, steps=3)) if built else _rand_elem(G, rng, steps=4)
+        res = conjugacy_test(u, v)
+        assert res.complete
+        if res.conjugate:
+            assert w_multiply(u, res.witness) == w_multiply(res.witness, v)
+        else:
+            assert not built and _brute_conjugate(G, u, v, 4) is None
 
 
 @pytest.mark.parametrize("base", [HeisenbergHandle(cap=12), FreeHandle(2)], ids=lambda h: h.kind)
