@@ -50,7 +50,7 @@ def magnus_embed(w: FreeWord, Q: GroupHandle, lamp: ZrHandle | None = None) -> W
     ders, endpoint = projected_derivatives(w, Q)
     cells: dict = {}
     for i, der in enumerate(ders):
-        for elem, coeff in der.items():
+        for elem, coeff in der.terms():  # cells are keyed, so any order will do
             k = Q.key(elem)
             if k not in cells:
                 cells[k] = (elem, [0] * r)
@@ -125,7 +125,7 @@ def _zero_one_distances(form: WreathElement, sources, targets, verts, config: Ru
     """0/1-weight BFS from a vertex set: support edges are free, all other
     Cayley edges cost one.  Returns first-reached costs for target keys."""
     Q = form.base
-    gens = [g for _, g in Q.generators()]
+    steps = [(i, g, Q.invert(g)) for i, (_, g) in enumerate(Q.generators(), start=1)]
     support = {(k, i) for k, (_, vec) in form.f.items() for i, c in enumerate(vec, start=1) if c}
     dist = {k: 0 for k in sources}
     elems = {k: verts[k] for k in sources}
@@ -146,14 +146,14 @@ def _zero_one_distances(form: WreathElement, sources, targets, verts, config: Ru
         explored += 1
         if explored > config.walk_node_cap:
             raise BeyondCapError("off-support search exceeded the node cap")
-        for i, g in enumerate(gens, start=1):
+        for i, g, ginv in steps:
             forward = Q.multiply(q, g)
-            backward = Q.multiply(q, Q.invert(g))
-            for head, edge in (
-                (forward, (k, i)),
-                (backward, (Q.key(backward), i)),  # backwards crosses (head, head.x_i)
+            backward = Q.multiply(q, ginv)
+            bk = Q.key(backward)
+            for head, hk, edge in (
+                (forward, Q.key(forward), (k, i)),
+                (backward, bk, (bk, i)),  # backwards crosses (head, head.x_i)
             ):
-                hk = Q.key(head)
                 w = 0 if edge in support else 1
                 nd = d + w
                 if nd > config.walk_cost_cap:
@@ -268,12 +268,14 @@ class SolvableGroup(GroupHandle):
         self.base = solvable_group(r, d - 1, config)
         self.lamp = ZrHandle(r)
         self.identity = SolvableElement(self, word_identity(r))
+        # built once, so each generator's form is embedded once per handle
+        self._generators = [
+            (f"x{i}", SolvableElement(self, FreeWord(r, (i,), _reduced=True)))
+            for i in range(1, r + 1)
+        ]
 
     def generators(self):
-        return [
-            (f"x{i}", SolvableElement(self, FreeWord(self.r, (i,), _reduced=True)))
-            for i in range(1, self.r + 1)
-        ]
+        return list(self._generators)
 
     def multiply(self, a: SolvableElement, b: SolvableElement) -> SolvableElement:
         return SolvableElement(self, a.word * b.word, w_multiply(a.form, b.form))

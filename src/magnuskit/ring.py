@@ -43,6 +43,10 @@ class RingElement:
         """Terms as (element, coefficient), sorted by canonical key."""
         return [self._terms[k] for k in sorted(self._terms)]
 
+    def terms(self):
+        """Terms as (element, coefficient), in no canonical order."""
+        return self._terms.values()
+
     def coefficient(self, elem) -> int:
         t = self._terms.get(self.group.key(elem))
         return t[1] if t else 0

@@ -31,6 +31,16 @@ through Supp f, which leaves at most |Supp f| candidates up to powers of b,
 and pairs whose projections are all trivial reduce to conjugacy in B.
 Every returned conjugator is re-verified against u*(h,z) = (h,z)*v, so a
 wrong ordering convention cannot pass silently.
+
+An element's key is a FormKey: the pair of its base key and the
+frozenset of its (position key, lamp key) cells.  A frozenset caches its
+hash, so hashing a key of a nested form (a Magnus form of S_{r,d} has
+S_{r,d-1} keys as positions) costs O(d) instead of a walk over its cells,
+and nothing sorts cells to build a key.  Keys are ordered by content
+(base key, then the sorted cells), so supports, JSON cells and
+breadth-first layers come out in one order on every build and hash
+seed.  A key's repr is short; element_to_json spells out the full normal
+form.
 """
 
 from dataclasses import dataclass
@@ -67,6 +77,42 @@ class Measure(NamedTuple):
         )
 
 
+class FormKey(tuple):
+    """The canonical key of a wreath element: the pair (base key, cells),
+    cells the frozenset of (position key, lamp key) pairs of the support.
+
+    Hashing and equality are the tuple's own.  Two cell sets whose cached
+    hashes differ compare unequal at once; equal hashes fall through to
+    the exact content, since unequal keys can share a hash (CPython
+    hashes -1 and -2 alike).  Keys are ordered by content, the base key
+    and then the cells in sorted order, so the order does not depend on
+    hashes.  The repr is short (base key, cell count and hash);
+    element_to_json spells out the full normal form.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, base, cells: frozenset):
+        return tuple.__new__(cls, (base, cells))
+
+    def __lt__(self, other):
+        if self[0] != other[0]:
+            return self[0] < other[0]
+        return sorted(self[1]) < sorted(other[1])
+
+    def __gt__(self, other):
+        return other.__lt__(self)
+
+    def __le__(self, other):
+        return not other.__lt__(self)
+
+    def __ge__(self, other):
+        return not self.__lt__(other)
+
+    def __repr__(self):
+        return f"FormKey(base={self[0]!r}, cells={len(self[1])}, hash={hash(self)})"
+
+
 class WreathElement:
     """An element (f, b) of A wr B; identity lamp values are never stored."""
 
@@ -79,12 +125,13 @@ class WreathElement:
         self.b = b
         self._key = key
 
-    def key(self):
+    def key(self) -> FormKey:
+        """The FormKey of (f, b): exact equality, content order and a
+        short repr; built once per element."""
         if self._key is None:
-            items = tuple(
-                sorted((k, self.lamp.key(val)) for k, (_, val) in self.f.items())
-            )
-            self._key = (self.base.key(self.b), items)
+            lk = self.lamp.key
+            cells = frozenset([(k, lk(val)) for k, (_, val) in self.f.items()])
+            self._key = FormKey(self.base.key(self.b), cells)
         return self._key
 
     @property

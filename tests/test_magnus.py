@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -16,7 +19,7 @@ from magnuskit.magnus import (
     solvable_eq,
     solvable_group,
 )
-from magnuskit.wreath import w_length, w_multiply
+from magnuskit.wreath import WreathGroup, w_length, w_multiply, wreath_element
 from magnuskit.words import FreeWord, gen, nested_commutator_sample, random_word
 
 Z2 = ZrHandle(2)
@@ -404,9 +407,10 @@ def test_depth4_lengths_keep_the_sandwich():
 
 def test_depth4_form_embeds_words_a_fixed_number_of_times(monkeypatch):
     # the Fox walk composes prefix forms instead of re-embedding every
-    # prefix, so the embedding count does not grow with the word
+    # prefix, and each handle embeds its generators once, so a form is
+    # exactly one embedding of its own word
     S4 = solvable_group(2, 4)
-    S4.from_word(FreeWord(2, (1, 2, -1, -2))).form  # caches each level's identity form
+    S4.from_word(FreeWord(2, (1, 2, -1, -2))).form  # caches each level's identity and generator forms
     calls = []
     embed = magnus.magnus_embed
 
@@ -426,7 +430,7 @@ def test_depth4_form_embeds_words_a_fixed_number_of_times(monkeypatch):
         calls.clear()
         S4.from_word(FreeWord(2, letters)).form
         counts.append(len(calls))
-    assert counts[0] == counts[1]
+    assert counts == [1, 1]
 
 
 def test_solvable_order_and_powers():
@@ -456,3 +460,71 @@ def test_embedded_length_vs_wreath_formula():
         w = random_word(2, rng.randint(0, 8), rng)
         g = S22.from_word(w)
         assert w_length(g.form).value == w_length(magnus_embed(w, Z2)).value
+
+
+# -- the form key protocol ----------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_form_key_protocol(d):
+    # what callers read off a key: the ball oracles are keyed by S.key and
+    # looked up by form.key(), and a form's abelian image sits at the
+    # bottom of the [0] chain and is the sum of its lamp vectors
+    S = solvable_group(2, d)
+    rng = random.Random(100 + d)
+    for n in (1, 7, 24):
+        letters = random_word(2, n, rng).letters
+        cut = rng.randrange(len(letters) + 1)
+        a = S.from_word(FreeWord(2, letters))
+        b = S.multiply(S.from_word(FreeWord(2, letters[:cut])), S.from_word(FreeWord(2, letters[cut:])))
+        key = b.form.key()
+        assert S.key(a) == key and hash(S.key(a)) == hash(key)
+        assert {S.key(a): 1}[key] == 1
+        image = tuple(sum(1 if let == i else -1 if let == -i else 0 for let in letters) for i in (1, 2))
+        base = key[0]
+        while isinstance(base[0], tuple):
+            base = base[0]
+        assert tuple(base) == image
+        assert tuple(map(sum, zip((0, 0), *(val for _, val in key[1])))) == image
+
+
+def test_form_key_repr_is_short():
+    # base key, cell count and hash; element_to_json holds the full form
+    Z = ZrHandle(1)
+    G = WreathGroup(Z, Z2)
+    u = wreath_element(Z, Z2, [((i, -i), (i,)) for i in range(1, 40)], (3, 4))
+    assert repr(u.key()) == f"FormKey(base=(3, 4), cells=39, hash={hash(u.key())})"
+    v = wreath_element(Z, G, [(u, (1,)), (G.identity, (2,))], u)
+    assert repr(v.key()) == f"FormKey(base={u.key()!r}, cells=2, hash={hash(v.key())})"
+    # a |w| = 128 form of S_{2,4}, whose nested key spelled out in full
+    # runs to megabytes
+    letters = random_word(2, 400, random.Random(7)).letters[:128]
+    assert len(letters) == 128
+    key = solvable_group(2, 4).from_word(FreeWord(2, letters)).form.key()
+    assert len(repr(key)) < 200
+
+
+def test_canonical_orders_do_not_depend_on_the_hash_seed():
+    # cells are frozensets, which iterate in hash order: whatever is printed
+    # or ordered from them must come out the same under every hash seed
+    src = os.path.dirname(os.path.dirname(os.path.abspath(magnus.__file__)))
+    script = (
+        "import json, random\n"
+        "from magnuskit.groups import ball_layers\n"
+        "from magnuskit.magnus import solvable_group\n"
+        "from magnuskit.words import FreeWord\n"
+        "from magnuskit.wreath import element_to_json\n"
+        "rng = random.Random(3)\n"
+        "w = FreeWord(2, [rng.choice((1, 2, -1, -2)) for _ in range(40)])\n"
+        "print(json.dumps(element_to_json(solvable_group(2, 3).from_word(w).form)))\n"
+        "S = solvable_group(2, 2)\n"
+        "print([list(x.word.letters) for _, layer in ball_layers(S, 3) for _, x in layer])\n"
+    )
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == 2

@@ -7,6 +7,7 @@ from magnuskit.config import DEFAULT
 from magnuskit.errors import BeyondCapError
 from magnuskit.groups import FreeHandle, HeisenbergHandle, PermHandle, ZNHandle, ZrHandle, ball_layers
 from magnuskit.wreath import (
+    FormKey,
     Measure,
     WreathGroup,
     base_generator,
@@ -522,3 +523,60 @@ def test_element_json_round_trip():
         assert element_from_json(element_to_json(u), Z, Z2) == u
     with pytest.raises(ValueError):
         element_from_json({"f": []}, Z, Z2)
+
+
+# -- form keys ----------------------------------------------------------------
+
+
+def _colliding_elements():
+    # CPython hashes -1 and -2 alike, so these eight elements of Z^2 wr Z^2
+    # (one cell at e, base point on the x axis) have keys with one hash
+    return [
+        wreath_element(Z2, Z2, [((0, 0), (a, b))], (c, 0))
+        for a in (-1, -2) for b in (-1, -2) for c in (-1, -2)
+    ]
+
+
+def test_form_keys_with_equal_hashes_stay_distinct_and_ordered():
+    elems = _colliding_elements()
+    keys = [u.key() for u in elems]
+    assert all(isinstance(k, FormKey) for k in keys)
+    assert len({hash(k) for k in keys}) == 1
+    assert len(set(keys)) == len(keys)  # equality never decides on the hash alone
+    u, v = elems[0], elems[2]  # cells (-1, -1) and (-1, -2) at e, same base point
+    assert u.key() != v.key() and not u.key() == v.key() and u != v
+    assert u.key() == wreath_element(Z2, Z2, [((0, 0), (-1, -1))], (-1, 0)).key()
+
+    rng = random.Random(5)
+    order = sorted(keys)
+    assert all(a < b and not b < a and a <= b and b > a for a, b in zip(order, order[1:]))
+    for _ in range(30):
+        rng.shuffle(keys)
+        assert sorted(keys) == order
+
+    # the same keys as positions of a next-level element: its support and
+    # JSON come out in one order whatever order the cells were given in
+    G = WreathGroup(Z2, Z2)
+    first = None
+    for _ in range(30):
+        rng.shuffle(elems)
+        w = wreath_element(Z, G, [(p, (1,)) for p in elems], G.identity)
+        seen = ([p.key() for p in w.support()], element_to_json(w))
+        assert seen[0] == sorted(seen[0])
+        first = first or seen
+        assert seen == first
+
+
+def test_form_keys_sort_by_their_content():
+    # keys sort as their spelled-out (base key, sorted cells) tuples do at
+    # every depth, so supports and JSON cells do not follow hashes
+    def spelled(k):
+        if isinstance(k, FormKey):
+            return (spelled(k[0]), sorted((spelled(p), spelled(v)) for p, v in k[1]))
+        return k
+
+    G = WreathGroup(Z, Z2)
+    rng = random.Random(23)
+    for group in (G, WreathGroup(Z, G)):
+        keys = [_rand_elem(group, rng, 8).key() for _ in range(60)]
+        assert sorted(keys) == sorted(keys, key=spelled)
