@@ -14,8 +14,10 @@ class RunConfig:
         an upper-bound flag.
     bfs_cap: default Cayley-graph BFS radius for groups without a
         closed-form metric.
-    walk_cost_cap / walk_node_cap: ceilings for the 0/1-weight search that
-        connects flow-support components in the geodesic-length formula.
+    walk_cost_cap / walk_node_cap: ceilings for the one exploration that
+        measures the distances between flow-support components in the
+        geodesic-length formula: the largest distance it searches, and the
+        distinct Cayley vertices it expands over the whole connection cost.
     Conjugacy decisions recurse into the lamp and base groups and have no
     knob of their own.
     """

@@ -22,6 +22,7 @@ writer needs no coordination beyond the interpreter's own.
 
 import json
 from math import gcd, lcm
+from operator import add
 
 from .config import DEFAULT, RunConfig
 from .errors import BeyondCapError
@@ -225,7 +226,7 @@ class ZrHandle(GroupHandle):
         return out
 
     def multiply(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def invert(self, a):
         return tuple(-x for x in a)

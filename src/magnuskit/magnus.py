@@ -15,13 +15,14 @@ The same coordinates, read as a function on Cayley-graph edges, are the
 net edge-traversal flow of the path w reads in Cay(Q), so lengths are read
 off the image too.  Word length in F/N' is the total flow plus twice the
 minimal number of off-support edges needed to visit every support vertex
-together with the identity; the off-support connection cost is computed
-over flow-support components with a 0/1-weight search and the path-TSP
-kernel of the wreath metric (wreath.path_tsp).
+together with the identity.  The off-support connection cost reads every
+distance between flow-support components from one exploration of the
+off-support region, with each component contracted to a node, and orders
+the components with the path-TSP kernel of the wreath metric
+(wreath.path_tsp).
 """
 
 from functools import lru_cache
-from collections import deque
 
 from .config import DEFAULT, RunConfig
 from .errors import BeyondCapError, InvariantViolation
@@ -121,51 +122,74 @@ def _support_components(form: WreathElement):
     return [sorted(c) for root, c in sorted(comps.items())], verts
 
 
-def _zero_one_distances(form: WreathElement, sources, targets, verts, config: RunConfig):
-    """0/1-weight BFS from a vertex set: support edges are free, all other
-    Cayley edges cost one.  Returns first-reached costs for target keys."""
+def _zero_one_distances(form: WreathElement, comps, verts, config: RunConfig):
+    """Distance matrix of the flow-support components in the 0/1 metric:
+    support edges are free, every other Cayley edge costs one.
+
+    Support edges join vertices of one component only, so with each
+    component contracted to a node the metric is a unit-weight BFS, run
+    from each component until every later one is reached.  The searches
+    share one region graph: a vertex gets an id when first reached and its
+    neighbours are multiplied out once; config.walk_node_cap counts those
+    expansions.
+    """
     Q = form.base
-    steps = [(i, g, Q.invert(g)) for i, (_, g) in enumerate(Q.generators(), start=1)]
-    support = {(k, i) for k, (_, vec) in form.f.items() for i, c in enumerate(vec, start=1) if c}
-    dist = {k: 0 for k in sources}
-    elems = {k: verts[k] for k in sources}
-    dq = deque((0, k) for k in sources)
-    remaining = set(targets) - set(sources)
-    found = {}
-    explored = 0
-    while dq and remaining:
-        d, k = dq.popleft()
-        if d > dist.get(k, d):
-            continue
-        if k in remaining:
-            found[k] = d
-            remaining.discard(k)
-            if not remaining:
-                break
-        q = elems[k]
-        explored += 1
-        if explored > config.walk_node_cap:
+    gens = [g for _, g in Q.generators()]
+    steps = gens + [Q.invert(g) for g in gens]
+    keys = [k for comp in comps for k in comp]
+    ids = {k: v for v, k in enumerate(keys)}
+    elems = [verts[k] for k in keys]
+    comp_of = [ci for ci, comp in enumerate(comps) for _ in comp]
+    members = [[ids[k] for k in comp] for comp in comps]
+    adj: dict = {}
+
+    def neighbours(v):
+        if v in adj:
+            return adj[v]
+        if len(adj) >= config.walk_node_cap:
             raise BeyondCapError("off-support search exceeded the node cap")
-        for i, g, ginv in steps:
-            forward = Q.multiply(q, g)
-            backward = Q.multiply(q, ginv)
-            bk = Q.key(backward)
-            for head, hk, edge in (
-                (forward, Q.key(forward), (k, i)),
-                (backward, bk, (bk, i)),  # backwards crosses (head, head.x_i)
-            ):
-                w = 0 if edge in support else 1
-                nd = d + w
-                if nd > config.walk_cost_cap:
-                    continue
-                if nd < dist.get(hk, nd + 1):
-                    dist[hk] = nd
-                    elems[hk] = head
-                    if w:
-                        dq.append((nd, hk))
-                    else:
-                        dq.appendleft((nd, hk))
-    return found
+        q = elems[v]
+        cell = form.f.get(keys[v]) if comp_of[v] >= 0 else None
+        out = adj[v] = []
+        for i, s in enumerate(steps):
+            if cell and i < len(gens) and cell[1][i]:
+                continue  # a support edge: its head is in v's component
+            h = Q.multiply(q, s)
+            u = ids.setdefault(Q.key(h), len(elems))
+            if u == len(elems):
+                elems.append(h)
+                comp_of.append(-1)
+            out.append(u)
+        return out
+
+    m = len(comps)
+    D = [[0] * m for _ in range(m)]
+    for ci in range(m - 1):
+        seen = set(members[ci])
+        frontier, level, left = members[ci], 0, m - 1 - ci
+        while left:
+            level += 1
+            if level > config.walk_cost_cap:
+                raise BeyondCapError("support components not connected within the cost cap")
+            reached = []
+            for v in frontier:
+                for u in neighbours(v):
+                    if u in seen:
+                        continue
+                    cj = comp_of[u]
+                    if cj < 0:
+                        seen.add(u)
+                        reached.append(u)
+                        continue
+                    seen.update(members[cj])  # entering cj reaches all of it
+                    reached.extend(members[cj])
+                    if cj > ci:
+                        D[ci][cj] = D[cj][ci] = level
+                        left -= 1
+                if not left:
+                    break
+            frontier = reached
+    return D
 
 
 def offsupport_connection_cost(form: WreathElement, config: RunConfig = DEFAULT) -> Measure:
@@ -173,9 +197,11 @@ def offsupport_connection_cost(form: WreathElement, config: RunConfig = DEFAULT)
     vertex and the identity; support edges may be reused freely.
 
     Within a support component travel is free, so the walk cost is a
-    path-TSP over components in the 0/1 metric with free endpoints, solved
-    by wreath.path_tsp: exact while the component count stays within
-    config.travel_exact_max, a flagged upper bound beyond it.
+    path-TSP over components in the 0/1 metric with free endpoints.  The
+    component distances come from one exploration of the off-support
+    region with the components contracted (_zero_one_distances); the
+    ordering is solved by wreath.path_tsp: exact while the component count
+    stays within config.travel_exact_max, a flagged upper bound beyond it.
     """
     if not form.f:
         return Measure.exactly(0)
@@ -183,27 +209,7 @@ def offsupport_connection_cost(form: WreathElement, config: RunConfig = DEFAULT)
     m = len(comps)
     if m == 1:
         return Measure.exactly(0)
-    key_to_comp = {}
-    for ci, comp in enumerate(comps):
-        for k in comp:
-            key_to_comp[k] = ci
-    D = [[0] * m for _ in range(m)]
-    for ci in range(m):
-        targets = [k for cj in range(ci + 1, m) for k in comps[cj]]
-        if not targets:
-            continue
-        found = _zero_one_distances(form, comps[ci], targets, verts, config)
-        best = {}
-        for k, d in found.items():
-            cj = key_to_comp[k]
-            if cj not in best or d < best[cj]:
-                best[cj] = d
-        for cj in range(ci + 1, m):
-            if cj not in best:
-                raise BeyondCapError("support components not connected within the cost cap")
-            D[ci][cj] = D[cj][ci] = best[cj]
-
-    return path_tsp([0] * m, D, [0] * m, config)
+    return path_tsp([0] * m, _zero_one_distances(form, comps, verts, config), [0] * m, config)
 
 
 # -- free solvable groups -------------------------------------------------------

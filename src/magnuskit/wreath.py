@@ -45,6 +45,7 @@ form.
 
 from dataclasses import dataclass
 from math import lcm
+from operator import add
 from typing import NamedTuple, Optional
 
 from .config import DEFAULT, RunConfig
@@ -289,22 +290,23 @@ def path_tsp(d0, D, dend, config: RunConfig = DEFAULT) -> Measure:
 
 
 def _path_tsp_exact(n, d0, D, dend) -> int:
-    # dp[(mask, i)] = shortest start->i path visiting exactly `mask`
-    dp = {(1 << i, i): d0[i] for i in range(n)}
+    # dp[mask][i] = shortest start->i path visiting exactly `mask`
     full = (1 << n) - 1
-    for mask in range(1, full + 1):
-        for i in range(n):
-            if not mask & (1 << i) or (mask, i) not in dp:
+    inf = float("inf")
+    dp = [[inf] * n for _ in range(full + 1)]
+    for i in range(n):
+        dp[1 << i][i] = d0[i]
+    for mask in range(1, full):
+        outside = [(j, mask | 1 << j) for j in range(n) if not mask >> j & 1]
+        for i, base in enumerate(dp[mask]):
+            if base == inf:
                 continue
-            base = dp[(mask, i)]
-            for j in range(n):
-                if mask & (1 << j):
-                    continue
-                nmask = mask | (1 << j)
-                cand = base + D[i][j]
-                if cand < dp.get((nmask, j), cand + 1):
-                    dp[(nmask, j)] = cand
-    return min(dp[(full, i)] + dend[i] for i in range(n))
+            row = D[i]
+            for j, nmask in outside:
+                cand = base + row[j]
+                if cand < dp[nmask][j]:
+                    dp[nmask][j] = cand
+    return min(map(add, dp[full], dend))
 
 
 def _path_tsp_heuristic(n, d0, D, dend) -> int:

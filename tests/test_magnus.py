@@ -3,11 +3,13 @@ import os
 import random
 import subprocess
 import sys
+from collections import deque
 
 import pytest
 
 from magnuskit import magnus
 from magnuskit.config import DEFAULT
+from magnuskit.errors import BeyondCapError
 from magnuskit.groups import ZrHandle, ball_layers, edge_traversal_counts
 from magnuskit.magnus import (
     bilipschitz_check,
@@ -201,20 +203,70 @@ def _star_word(k):
     return w
 
 
+def _oracle_distances(form):
+    """0/1 distances between the flow-support vertices of an S_{2,2} form
+    and the identity, by a plain 0/1 Dijkstra over Z^2 from each vertex:
+    an edge (p, p + e_i) with a nonzero count in form.f is free, every
+    other edge costs one.  Returns {(a, b): distance}."""
+    free = {(p, i) for p, (_, vec) in form.f.items() for i, c in enumerate(vec) if c}
+    step = ((1, 0), (0, 1))
+    points = {(0, 0)} | {p for p, _ in free} | {(p[0] + step[i][0], p[1] + step[i][1]) for p, i in free}
+    dist = {}
+    for src in points:
+        best, settled, dq = {src: 0}, set(), deque([(0, src)])
+        while not points <= settled:
+            d, p = dq.popleft()
+            if d > best[p]:
+                continue
+            settled.add(p)
+            for i, (dx, dy) in enumerate(step):
+                for q, edge in (((p[0] + dx, p[1] + dy), (p, i)), ((p[0] - dx, p[1] - dy), None)):
+                    w = 0 if (edge or (q, i)) in free else 1
+                    if d + w < best.get(q, d + w + 1):
+                        best[q] = d + w
+                        (dq.appendleft if w == 0 else dq.append)((d + w, q))
+        dist.update(((src, p), best[p]) for p in points)
+    return dist
+
+
+def _assert_distances_match_oracle(form):
+    comps, verts = magnus._support_components(form)
+    oracle = _oracle_distances(form)
+    assert {p for p, _ in oracle} == set(verts)
+    D = magnus._zero_one_distances(form, comps, verts, DEFAULT)
+    for ci, a in enumerate(comps):
+        assert all(oracle[a[0], k] == 0 for k in a)
+        for cj, b in enumerate(comps):
+            assert D[ci][cj] == oracle[a[0], b[0]]
+
+
 def _brute_connection_cost(form):
     """The connection cost by enumerating every order of the flow-support
-    components over their 0/1 distances (free endpoints)."""
-    comps, verts = magnus._support_components(form)
-    comp_of = {k: ci for ci, comp in enumerate(comps) for k in comp}
-    D = {}
-    for ci, comp in enumerate(comps):
-        others = [k for k in comp_of if comp_of[k] != ci]
-        for k, d in magnus._zero_one_distances(form, comp, others, verts, DEFAULT).items():
-            D[ci, comp_of[k]] = min(d, D.get((ci, comp_of[k]), d))
+    components (classes at oracle distance zero; free endpoints)."""
+    dist = _oracle_distances(form)
+    reps = []
+    for p in sorted({p for p, _ in dist}):
+        if all(dist[p, r] for r in reps):
+            reps.append(p)
     return min(
-        sum(D[a, b] for a, b in zip(order, order[1:]))
-        for order in itertools.permutations(range(len(comps)))
+        sum(dist[a, b] for a, b in zip(order, order[1:]))
+        for order in itertools.permutations(reps)
     )
+
+
+def test_component_distances_against_oracle():
+    rng = random.Random(61)
+    words = [_loop_word(rng, m) for m in range(3, 10) for _ in range(2)]
+    words += [_star_word(k) for k in (2, 3, 4)]
+    for w in words:
+        _assert_distances_match_oracle(S22.from_word(w).form)
+    multi = 0
+    for _, layer in ball_layers(S22, 7):
+        for _, g in layer:
+            if g.form.f and len(magnus._support_components(g.form)[0]) >= 2:
+                _assert_distances_match_oracle(g.form)
+                multi += 1
+    assert multi > 0
 
 
 def test_connection_cost_against_order_enumeration():
@@ -226,6 +278,33 @@ def test_connection_cost_against_order_enumeration():
         got = offsupport_connection_cost(form)
         assert got.exact
         assert got.value == _brute_connection_cost(form)
+
+
+def test_connection_cost_multiplies_each_vertex_step_once(monkeypatch):
+    # one exploration serves every component: no (vertex, generator)
+    # product is taken twice, support components and distances together
+    form = S22.from_word(_loop_word(random.Random(9), 9)).form
+    assert len(magnus._support_components(form)[0]) == 9
+    seen = []
+    multiply = ZrHandle.multiply
+
+    def recording(self, a, b):
+        seen.append((a, b))
+        return multiply(self, a, b)
+
+    monkeypatch.setattr(ZrHandle, "multiply", recording)
+    assert offsupport_connection_cost(form).exact
+    assert seen and len(seen) == len(set(seen))
+
+
+def test_connection_cost_caps_raise():
+    form = S22.from_word(_loop_word(random.Random(9), 9)).form
+    comps, verts = magnus._support_components(form)
+    top = max(map(max, magnus._zero_one_distances(form, comps, verts, DEFAULT)))
+    assert offsupport_connection_cost(form, DEFAULT.with_(walk_cost_cap=top)).exact
+    for config in (DEFAULT.with_(walk_node_cap=10), DEFAULT.with_(walk_cost_cap=top - 1)):
+        with pytest.raises(BeyondCapError):
+            offsupport_connection_cost(form, config)
 
 
 @pytest.mark.parametrize("components, cap", [(3, 2), (6, 4)])

@@ -144,6 +144,25 @@ def test_travel_cost_against_permutation_oracle():
         assert got.value == _brute_path_tsp(Z2, list(dict.fromkeys(pts)), b)
 
 
+def test_path_tsp_kernel_against_permutations():
+    from magnuskit.wreath import _path_tsp_exact
+
+    rng = random.Random(29)
+    for n in range(1, 8):
+        for free_ends in (True, False):
+            for _ in range(6):
+                D = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        D[i][j] = D[j][i] = rng.randint(0, 9)
+                d0, dend = ([0 if free_ends else rng.randint(0, 9) for _ in range(n)] for _ in "ab")
+                brute = min(
+                    d0[o[0]] + sum(D[a][b] for a, b in zip(o, o[1:])) + dend[o[-1]]
+                    for o in itertools.permutations(range(n))
+                )
+                assert _path_tsp_exact(n, d0, D, dend) == brute
+
+
 def test_travel_cost_heisenberg_base():
     # non-abelian base distances feed the same subset DP
     from magnuskit.groups import HeisenbergHandle
