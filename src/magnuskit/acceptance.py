@@ -43,7 +43,6 @@ from .clf import (
     first_witness_scan,
     random_wreath_element,
     z2_min_conjugator,
-    z2_triangle_family,
 )
 from .words import FreeWord, abelianized, nested_commutator_sample, random_word
 
@@ -389,8 +388,7 @@ def check_triangle_family_lower_bound():
     pair sizes satisfy the linear envelopes."""
     spec = FamilySpec(ZrHandle(1), ZrHandle(2), (1, 0), (0, 1), "z2")
     for n in range(1, 6):
-        z2_triangle_family(spec, n)  # envelope checks live inside
-        scan = z2_min_conjugator(spec, n)
+        scan = z2_min_conjugator(spec, n)  # builds the pair: envelope checks live inside
         _require(scan.min_length is not None, f"no conjugator found at n={n}")
         _require(scan.offfamily_clean, "an off-family base part admitted a conjugator")
         _require(

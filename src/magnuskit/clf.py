@@ -40,6 +40,7 @@ from .wreath import (
     upper_bound_formula,
     w_conjugate,
     w_length,
+    w_length_floor,
     w_multiply,
     wreath_element,
 )
@@ -223,10 +224,15 @@ def central_family(spec: FamilySpec, n: int, config: RunConfig = DEFAULT) -> Fam
 
 @dataclass
 class MinScanResult:
+    """A family scan at one n: the first minimal witness length in scan
+    order (None without witnesses), the count of verified conjugators in
+    the window, whether no base part outside the family's cyclic subgroup
+    admits one, and the bound asserted (4*delta central, n^2 + n z2)."""
+
     min_length: Optional[Measure]
     witnesses: int
     offfamily_clean: bool
-    lengths: list
+    bound: int
 
 
 def _offfamily_clean(inst: FamilyInstance, g) -> bool:
@@ -241,13 +247,33 @@ def _offfamily_clean(inst: FamilyInstance, g) -> bool:
     )
 
 
+def _min_conjugator(inst: FamilyInstance, bases, key, config: RunConfig):
+    """The length of the first verified conjugator (over bases, in order)
+    minimal under ``key``, or None; the lengths measured; the conjugator
+    count.  Witnesses are measured in (w_length_floor, index) order up to
+    the first floor strictly above the best key: key(m) >= m.lower >= floor,
+    so no unmeasured witness beats or ties the best, and the answer is a
+    measure-everything ``min``'s."""
+    found = (conjugator_for_z(inst.u, inst.v, z) for z in bases)
+    witnesses = [w for w in found if w is not None]
+    best, measured = (float("inf"), -1, None), []  # best: (key, index, length)
+    for floor, i in sorted((w_length_floor(w), i) for i, w in enumerate(witnesses)):
+        if floor > best[0]:
+            break
+        m = w_length(witnesses[i], config)
+        measured.append(m)
+        best = min(best, (key(m), i, m))  # indices differ: lengths are never compared
+    return best[2], measured, len(witnesses)
+
+
 def central_family_min_conjugator(
     spec: FamilySpec,
     n: int,
     config: RunConfig = DEFAULT,
     power_window: Optional[int] = None,
 ) -> MinScanResult:
-    """Minimal verified conjugator length for the central family at n.
+    """Minimal verified conjugator length (by value) for the central
+    family at n, bound 4*delta, measured in floor order (_min_conjugator).
 
     Candidates are the powers of x within the window; the scan records
     whether every base part that admits a conjugator is a power of x (the
@@ -260,23 +286,17 @@ def central_family_min_conjugator(
     if power_window is None:
         power_window = inst.delta + n + 2
     powers = (B.power(spec.x, k) for k in range(-power_window, power_window + 1))
-    lengths = []
-    for z in sorted(powers, key=B.key):
-        witness = conjugator_for_z(inst.u, inst.v, z)
-        if witness is not None:
-            lengths.append(w_length(witness, config))
+    bases = sorted(powers, key=B.key)
+    min_len, measured, count = _min_conjugator(inst, bases, lambda m: m.value, config)
     offfamily_clean = _offfamily_clean(inst, spec.x)
-    if not lengths:
-        return MinScanResult(None, 0, offfamily_clean, [])
-    min_len = min(lengths, key=lambda m: m.value)
+    bound = 4 * inst.delta
     # the family's reason for existing: the shortest conjugator is at least
     # four times the distortion; the sound lower field makes this safe to
-    # assert even for witnesses whose travel cost went heuristic
-    if min(m.lower for m in lengths) < 4 * inst.delta:
-        raise InvariantViolation(
-            f"central family minimum below 4*delta={4 * inst.delta} at n={n}"
-        )
-    return MinScanResult(min_len, len(lengths), offfamily_clean, lengths)
+    # assert even for witnesses whose travel cost went heuristic, and an
+    # unmeasured witness has lower >= floor > min_len.value >= this minimum
+    if min((m.lower for m in measured), default=bound) < bound:
+        raise InvariantViolation(f"central family minimum below 4*delta={bound} at n={n}")
+    return MinScanResult(min_len, count, offfamily_clean, bound)
 
 
 def z2_triangle_family(spec: FamilySpec, n: int, config: RunConfig = DEFAULT) -> FamilyInstance:
@@ -326,8 +346,9 @@ def z2_triangle_family(spec: FamilySpec, n: int, config: RunConfig = DEFAULT) ->
 
 
 def z2_min_conjugator(spec: FamilySpec, n: int, config: RunConfig = DEFAULT) -> MinScanResult:
-    """Minimal verified conjugator for the triangle family at n, scanning
-    base parts y^k for |k| <= 3n; the scan records whether every base part
+    """Minimal verified conjugator (by lower) for the triangle family at
+    n, bound n^2 + n, scanning base parts y^k for |k| <= 3n in floor
+    order (_min_conjugator); the scan records whether every base part
     that admits a conjugator is a power of y.
 
     Witness supports are quadratic, so lengths may carry upper-bound flags;
@@ -335,23 +356,17 @@ def z2_min_conjugator(spec: FamilySpec, n: int, config: RunConfig = DEFAULT) -> 
     """
     inst = z2_triangle_family(spec, n, config)
     B = spec.B
-    lengths = []
-    for k in range(-3 * n, 3 * n + 1):
-        z = B.power(spec.y, k)
-        witness = conjugator_for_z(inst.u, inst.v, z)
-        if witness is not None:
-            lengths.append(w_length(witness, config))
+    bases = (B.power(spec.y, k) for k in range(-3 * n, 3 * n + 1))
+    min_len, _, count = _min_conjugator(inst, bases, lambda m: m.lower, config)
     offfamily_clean = _offfamily_clean(inst, spec.y)
-    if not lengths:
-        return MinScanResult(None, 0, offfamily_clean, [])
-    min_len = min(lengths, key=lambda m: m.lower)
+    bound = n * n + n
     # quadratic growth from linear inputs; the lamp count alone carries it,
     # so the sound lower field suffices even when travel is heuristic
-    if min_len.lower < n * n + n:
+    if min_len is not None and min_len.lower < bound:
         raise InvariantViolation(
             f"triangle family minimum lower bound {min_len.lower} < n^2+n at n={n}"
         )
-    return MinScanResult(min_len, len(lengths), offfamily_clean, lengths)
+    return MinScanResult(min_len, count, offfamily_clean, bound)
 
 
 # -- randomized conjugacy-length scan --------------------------------------

@@ -20,13 +20,11 @@ from .magnus import geodesic_length, magnus_embed, solvable_group, solvable_conj
 from .clf import (
     FamilySpec,
     ScanRow,
-    central_family,
     central_family_min_conjugator,
     clf_scan,
     distortion_scan,
     rows_to_csv,
     z2_min_conjugator,
-    z2_triangle_family,
 )
 from .ring import to_json as ring_to_json
 from .wreath import conjugacy_test, element_from_json, element_to_json, w_length
@@ -176,19 +174,15 @@ def cmd_family(args, cfg):
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         if args.kind == "central":
-            inst = central_family(spec, n, cfg)
             scan = central_family_min_conjugator(spec, n, config=cfg)
-            bound = 4 * inst.delta
         else:
-            inst = z2_triangle_family(spec, n, cfg)
             scan = z2_min_conjugator(spec, n, config=cfg)
-            bound = n * n + n
         measured = scan.min_length.value if scan.min_length else -1
         rows.append(
             ScanRow(
                 n=n,
                 measured=measured,
-                bound=bound,
+                bound=scan.bound,
                 exact=bool(scan.min_length and scan.min_length.exact),
                 witness_len=measured,
                 seed=cfg.seed,

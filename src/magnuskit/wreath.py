@@ -353,6 +353,17 @@ def w_length(u: WreathElement, config: RunConfig = DEFAULT) -> Measure:
     return travel_cost(u.base, u.support(), u.b, config) + lamp_weight(u)
 
 
+def w_length_floor(u: WreathElement) -> int:
+    """A sound floor under w_length(u).lower in either travel regime, in
+    O(|Supp u|) distances: lamp weight plus the longest detour e -> p -> b
+    through one point travel_cost visits (path_tsp's lower contains it).
+    It reads only distances that travel_cost reads for u."""
+    B, e, b = u.base, u.base.identity, u.b
+    free = (B.key(e), B.key(b))  # visited for free, as in travel_cost
+    detours = (B.distance(e, p) + B.distance(p, b) for k, (p, _) in u.f.items() if k not in free)
+    return max(detours, default=0) + lamp_weight(u)
+
+
 # -- coset projections and conjugators ----------------------------------------
 
 

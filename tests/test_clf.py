@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
+from magnuskit import clf
+from magnuskit.config import DEFAULT
 from magnuskit.errors import BeyondCapError
-from magnuskit.groups import HeisenbergHandle, PermHandle, ZrHandle
+from magnuskit.groups import FreeHandle, HeisenbergHandle, PermHandle, ZrHandle
 from magnuskit.magnus import solvable_group
 from magnuskit.clf import (
     CSV_HEADER,
@@ -16,7 +20,13 @@ from magnuskit.clf import (
     z2_min_conjugator,
     z2_triangle_family,
 )
-from magnuskit.wreath import w_length, w_multiply, wreath_element
+from magnuskit.wreath import (
+    conjugator_for_z,
+    w_length,
+    w_length_floor,
+    w_multiply,
+    wreath_element,
+)
 from magnuskit.words import FreeWord
 
 Z1 = ZrHandle(1)
@@ -119,6 +129,81 @@ def test_z2_min_conjugator_quadratic():
         assert scan.min_length is not None
         assert scan.offfamily_clean
         assert scan.min_length.lower >= n * n + n
+
+
+@pytest.mark.parametrize("base", [Z2, HeisenbergHandle(cap=12), FreeHandle(2)], ids=lambda B: B.kind)
+def test_length_floor_is_sound_in_both_travel_regimes(base):
+    # points and b within 6 base steps of e keep every distance that
+    # travel reads within the Heisenberg BFS cap
+    rng = random.Random(2024)
+    steps = [g for _, g in base.gen_steps()]
+
+    def near():
+        acc = base.identity
+        for _ in range(rng.randint(0, 6)):
+            acc = base.multiply(acc, rng.choice(steps))
+        return acc
+
+    regimes = set()
+    for exact_max in (9, 3):
+        cfg = DEFAULT.with_(travel_exact_max=exact_max)
+        for _ in range(40):
+            pairs = [(near(), (rng.choice([-2, -1, 1, 2]),)) for _ in range(rng.randint(0, 8))]
+            w = wreath_element(Z1, base, pairs, near())
+            m = w_length(w, cfg)
+            regimes.add(m.exact)
+            assert w_length_floor(w) <= m.lower
+    assert regimes == {True, False}
+
+
+def _exhaustive_min(inst, bases, key):
+    """Reference: measure every verified conjugator, first minimum wins."""
+    found = (conjugator_for_z(inst.u, inst.v, z) for z in bases)
+    lengths = [w_length(w) for w in found if w is not None]
+    return min(lengths, key=key), len(lengths)
+
+
+@pytest.mark.parametrize("x,y", [((1, 0), (0, 1)), ((0, -1), (1, 0))])
+def test_z2_selection_equals_exhaustive(x, y):
+    spec = FamilySpec(Z1, Z2, x, y, "z2")
+    for n in range(1, 6):
+        inst = z2_triangle_family(spec, n)
+        bases = [Z2.power(y, k) for k in range(-3 * n, 3 * n + 1)]
+        scan = z2_min_conjugator(spec, n)
+        assert (scan.min_length, scan.witnesses) == _exhaustive_min(inst, bases, lambda m: m.lower)
+        assert scan.bound == n * n + n
+
+
+@pytest.mark.parametrize(
+    "B,x,y,ns",
+    [(Z2, (1, 0), (0, 1), range(1, 6)), (HeisenbergHandle(cap=12), (0, 0, 1), (1, 0, 0), [4])],
+    ids=["Zr", "heisenberg"],
+)
+def test_central_selection_equals_exhaustive(B, x, y, ns):
+    spec = FamilySpec(Z1, B, x, y, "central")
+    for n in ns:
+        inst = central_family(spec, n)
+        window = inst.delta + n + 2
+        bases = sorted((B.power(x, k) for k in range(-window, window + 1)), key=B.key)
+        scan = central_family_min_conjugator(spec, n)
+        assert (scan.min_length, scan.witnesses) == _exhaustive_min(inst, bases, lambda m: m.value)
+        assert scan.bound == 4 * inst.delta
+
+
+def test_z2_selection_skips_far_witnesses(monkeypatch):
+    spec = FamilySpec(Z1, Z2, (1, 0), (0, 1), "z2")
+    inst = z2_triangle_family(spec, 6)
+    measured = []
+
+    def counting_w_length(u, config=DEFAULT):
+        measured.append(u)
+        return w_length(u, config)
+
+    monkeypatch.setattr(clf, "w_length", counting_w_length)
+    scan = z2_min_conjugator(spec, 6)
+    witnesses = [u for u in measured if u not in (inst.u, inst.v)]
+    assert scan.witnesses == 37
+    assert len(witnesses) <= 13
 
 
 def test_first_witness_scan_trivial_pair():

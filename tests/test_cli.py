@@ -200,6 +200,26 @@ def test_family_command(capsys):
     assert all(int(m) >= int(b) for _, m, b, *_ in rows)
 
 
+FAMILY_ROWS = {
+    ("z2", "x1", "x2"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,0,34,1 4,52,20,0,52,1 "
+    "5,72,30,0,72,1 6,100,42,0,100,1",
+    ("z2", "x2^-1", "x1"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,0,34,1 4,52,20,0,52,1 "
+    "5,76,30,0,76,1 6,102,42,0,102,1",
+    ("central", "x1", "x2"): "1,5,4,1,5,1 2,10,8,1,10,1 3,15,12,1,15,1 4,20,16,1,20,1 5,25,20,1,25,1",
+}
+
+
+@pytest.mark.parametrize("kind,x,y", list(FAMILY_ROWS))
+def test_family_rows_are_pinned(capsys, kind, x, y):
+    rows = FAMILY_ROWS[kind, x, y].split()
+    code, out, _ = run(
+        capsys, "family", "--kind", kind, "--group", '{"kind":"Zr","r":2}',
+        "--x", x, "--y", y, "--n-max", str(len(rows)), "--seed", "1",
+    )
+    assert code == 0
+    assert out == "\n".join(["n,measured,bound,exact,witness_len,seed", *rows]) + "\n"
+
+
 def test_clf_scan_command(capsys):
     code, out, _ = run(
         capsys,
