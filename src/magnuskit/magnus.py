@@ -39,6 +39,7 @@ from .wreath import (
     w_invert,
     w_length,
     w_multiply,
+    w_power_membership,
     wreath_element,
 )
 from .words import FreeWord, from_json as word_from_json, identity as word_identity, to_json as word_to_json
@@ -306,22 +307,8 @@ class SolvableGroup(GroupHandle):
         return 1 if a.is_identity else None
 
     def power_membership(self, x: SolvableElement, b: SolvableElement):
-        if b.is_identity:
-            raise ValueError("power query needs a nontrivial base")
-        if x.is_identity:
-            return 0
-        # Cyclic subgroups are at most 2-distorted, so |x = b^k| forces
-        # |k| <= 2|x|.
-        bound = 2 * geodesic_length(x, self.config).value
-        target = self.key(x)
-        for sign in (1, -1):
-            step = b if sign > 0 else self.invert(b)
-            acc = step
-            for k in range(1, bound + 1):
-                if self.key(acc) == target:
-                    return sign * k
-                acc = self.multiply(acc, step)
-        return None
+        """The wreath recursion on the Magnus forms (the embedding is injective)."""
+        return w_power_membership(x.form, b.form)
 
     def conjugator(self, b: SolvableElement, c: SolvableElement):
         """Some z with b z = z c, as a word, or None.

@@ -20,7 +20,9 @@ representative t of <b>; the ordered product of the lamp values of f along
 the coset (higher power of b multiplying on the left), optionally shifted
 by z, is the invariant pi_t^(z)(f).  Support points are grouped into
 cosets by power membership alone: p lies in <b>t iff p t^-1 is a power of
-b, which also gives p's exponent along the coset.  Two elements (f,b),
+b, which also gives p's exponent along the coset.  Power membership and
+element orders of wreath forms (w_power_membership, w_order) are exact
+recursions into A and B, with no length bound.  Two elements (f,b),
 (g,c) are conjugate iff some z with bz = zc matches the projections on
 every coset (equality for b of infinite order, A-conjugacy for finite
 order), and the conjugator (h, z) is assembled from prefix products along
@@ -232,11 +234,58 @@ def w_conjugate(u: WreathElement, gamma: WreathElement) -> WreathElement:
 
 
 def w_power(u: WreathElement, k: int) -> WreathElement:
+    """u^k by binary powering: O(log |k|) products."""
     acc = identity_element(u.lamp, u.base)
-    step = u if k >= 0 else w_invert(u)
-    for _ in range(abs(k)):
-        acc = w_multiply(acc, step)
+    step, k = (u, k) if k >= 0 else (w_invert(u), -k)
+    while k:
+        if k & 1:
+            acc = w_multiply(acc, step)
+        k >>= 1
+        if k:
+            step = w_multiply(step, step)
     return acc
+
+
+def w_order(u: WreathElement):
+    """Order of u = (f, b): N * lcm of the lamp orders of u^N = (h, e),
+    N the order of b; None when either is infinite."""
+    n = u.base.order(u.b)
+    if n is None:
+        return None
+    orders = [u.lamp.order(val) for _, (_, val) in w_power(u, n).f.items()]
+    return None if None in orders else n * lcm(*orders)
+
+
+def w_power_membership(x: WreathElement, b: WreathElement) -> Optional[int]:
+    """The exponent k with x = b^k, or None; exact, by recursion into the
+    lamp and base handles, with no length bound.
+
+    Write b = (f, beta) and x = (g, gamma).  If beta has infinite order,
+    gamma = beta^k fixes k.  If b has finite order M, b^0 .. b^(M-1) is a
+    complete scan.  Otherwise beta has finite order N and b^N = (h, e) has
+    a lamp h(p) of infinite order: gamma fixes k mod N as j, and
+    x b^-j = (h^m, e) fixes m at p, so k = j + N m.  Each answer is
+    confirmed against b^k.
+    """
+    if b.is_identity:
+        raise ValueError("power query needs a nontrivial base")
+    A, B = b.lamp, b.base
+    n, order = B.order(b.b), w_order(b)
+    if order is not None:
+        acc = identity_element(A, B)
+        for k in range(order):
+            if acc == x:
+                return k
+            acc = w_multiply(acc, b)
+        return None
+    if n is None:
+        k = B.power_membership(x.b, b.b)
+    else:
+        j = _coset_j(B, b.b, n, x.b, B.identity)
+        p, hp = next((pos, val) for pos, val in w_power(b, n).f.values() if A.order(val) is None)
+        m = None if j is None else A.power_membership(w_multiply(x, w_power(b, -j)).lamp_at(p), hp)
+        k = None if m is None else j + n * m
+    return k if k is not None and w_power(b, k) == x else None
 
 
 # -- the word metric ---------------------------------------------------------
@@ -632,38 +681,10 @@ class WreathGroup(GroupHandle):
         return m.value
 
     def order(self, a):
-        nb = self.base.order(a.b)
-        if nb is None:
-            return None
-        acc = w_power(a, nb)  # pure lamp part
-        if acc.is_identity:
-            return nb
-        lamp_orders = set()
-        for _, (_, val) in acc.f.items():
-            o = self.lamp.order(val)
-            if o is None:
-                return None
-            lamp_orders.add(o)
-        out = nb
-        for o in lamp_orders:
-            out = lcm(out, o)
-        return out
+        return w_order(a)
 
     def power_membership(self, x, b):
-        if b.is_identity:
-            raise ValueError("power query needs a nontrivial base")
-        # Bounded two-sided scan; lengths grow at least linearly in the
-        # exponent for the shipped lamp/base pairs.
-        target = x.key()
-        bound = w_length(x, self.config).value + 2
-        for sign in (1, -1):
-            step = b if sign > 0 else w_invert(b)
-            acc = step
-            for k in range(1, bound + 1):
-                if acc.key() == target:
-                    return sign * k
-                acc = w_multiply(acc, step)
-        return 0 if x.is_identity else None
+        return w_power_membership(x, b)
 
     def conjugator(self, b, c):
         return conjugacy_test(b, c).witness

@@ -133,19 +133,21 @@ def test_wreath_conj_inert_pair_over_free_solvable_base(capsys, monkeypatch):
 
 
 def test_config_caps_reach_free_solvable_base(capsys, tmp_path):
-    # u's second lamp sits at x1^2 [x1,x2] x1^-2, a loop away from the
-    # identity: with no off-support edges allowed, its length, which bounds
-    # the power search placing it in the first lamp's coset, cannot be
-    # computed
+    # v is u conjugated by the lamp (1 at q, e), q = x1^2 [x1,x2] x1^-2 a
+    # loop away from the identity: the printed witness length walks to q,
+    # and with no off-support edges allowed |q| cannot be computed
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"walk_cost_cap": 0}))
-    at = {"word": [1, 1, 1, 2, -1, -2, -1, -1]}
-    lamps = [{"at": {"word": []}, "val": [1]}, {"at": at, "val": [1]}]
-    u = json.dumps({"f": lamps, "b": {"word": [1]}})
-    v = json.dumps({"f": [{"at": {"word": []}, "val": [1]}], "b": {"word": [1]}})
-    argv = ["wreath-conj", u, v, "--lamp", '{"kind":"Zr","r":1}', "--base", S22_DESC]
-    code, _, _ = run(capsys, *argv)
-    assert code == 1
+    q = {"word": [1, 1, 1, 2, -1, -2, -1, -1]}
+    lamps = [{"at": {"word": []}, "val": [1]}, {"at": q, "val": [1]}]
+    u = {"f": lamps, "b": {"word": [1]}}
+    A, B = ZrHandle(1), magnus.solvable_group(2, 2)
+    gamma = element_from_json({"f": [{"at": q, "val": [1]}], "b": {"word": []}}, A, B)
+    v = wreath.w_conjugate(element_from_json(u, A, B), gamma)
+    argv = ["wreath-conj", json.dumps(u), json.dumps(wreath.element_to_json(v)),
+            "--lamp", '{"kind":"Zr","r":1}', "--base", S22_DESC]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["witness_length_exact"]
     code, _, err = run(capsys, "--config", str(cfgfile), *argv)
     assert code == 3 and "beyond-cap" in err
 

@@ -158,30 +158,61 @@ def test_power_membership_zr():
         Z2.power_membership((1, 1), (0, 0))
 
 
+Z_WR_HEIS = WreathGroup(ZrHandle(1), HeisenbergHandle(cap=20))
+WREATHS = {
+    "wreath": WreathGroup(ZNHandle(2), ZrHandle(1)),
+    "Z_wr_heis": Z_WR_HEIS,
+    "Z2_wr_Z2": WreathGroup(ZNHandle(2), ZNHandle(2)),
+    "Z_wr_Z_wr_heis": WreathGroup(ZrHandle(1), Z_WR_HEIS),
+}
+
+
+def _power_window(handle, b, kmax):
+    """Keys of b^k for |k| <= kmax."""
+    keys = set()
+    for step in (b, handle.invert(b)):
+        acc = handle.identity
+        for _ in range(kmax + 1):
+            keys.add(handle.key(acc))
+            acc = handle.multiply(acc, step)
+    return keys
+
+
 @pytest.mark.parametrize(
     "handle",
-    HANDLES + [solvable_group(2, 2), WreathGroup(ZNHandle(2), ZrHandle(1))],
-    ids=lambda h: h.kind if h.kind != "free_solvable" else f"S2{h.d}",
+    [
+        pytest.param(h, id=h.kind if h.kind != "free_solvable" else f"S2{h.d}")
+        for h in HANDLES + [solvable_group(2, 2), solvable_group(2, 3)]
+    ]
+    + [pytest.param(h, id=name) for name, h in WREATHS.items()],
 )
 def test_power_membership_against_brute_force(handle):
     # coset membership rests on power_membership alone: b^k is found with a
-    # correct exponent, and a short x is found iff a window of powers holds it
+    # correct exponent, and a short y, or b^k one generator off, is found
+    # iff a window of powers holds it.  Wreath exponents reach 100, past any
+    # length cap, with the window as wide: powers of a central Heisenberg
+    # base part are distorted.
     rng = random.Random(9)
     e = handle.key(handle.identity)
+    kmax, window_k = (100, 101) if isinstance(handle, WreathGroup) else (4, 12)
     for _ in range(40):
         b = _random_element(handle, rng, steps=4)
         if handle.key(b) == e:
             continue
-        x = handle.power(b, rng.randint(-4, 4))
+        x = handle.power(b, rng.randint(-kmax, kmax))
         got = handle.power_membership(x, b)
         assert got is not None and handle.key(handle.power(b, got)) == handle.key(x)
-        # no power b^k with |k| > 12 has length <= 4 in these groups
-        window = {handle.key(handle.power(b, k)) for k in range(-12, 13)}
+        # no power b^k outside the window has length <= 4 or is one
+        # generator off x: a generator is no proper power in the torsion-free
+        # groups, and a finite cyclic subgroup lies inside the window
+        window = _power_window(handle, b, window_k)
         y = _random_element(handle, rng, steps=4)
-        got = handle.power_membership(y, b)
-        assert (got is not None) == (handle.key(y) in window)
-        if got is not None:
-            assert handle.key(handle.power(b, got)) == handle.key(y)
+        near = handle.multiply(x, rng.choice(handle.gen_steps())[1])
+        for z in (y, near):
+            got = handle.power_membership(z, b)
+            assert (got is not None) == (handle.key(z) in window)
+            if got is not None:
+                assert handle.key(handle.power(b, got)) == handle.key(z)
     if isinstance(handle, HeisenbergHandle):
         assert handle.power_membership((1, 0, 0), (0, 1, 0)) is None
 

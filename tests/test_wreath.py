@@ -5,7 +5,16 @@ import pytest
 
 from magnuskit.config import DEFAULT
 from magnuskit.errors import BeyondCapError
-from magnuskit.groups import FreeHandle, HeisenbergHandle, PermHandle, ZNHandle, ZrHandle, ball_layers
+from magnuskit.clf import random_wreath_element
+from magnuskit.groups import (
+    FreeHandle,
+    HeisenbergHandle,
+    PermHandle,
+    ZNHandle,
+    ZrHandle,
+    ball_layers,
+    enumerate_finite,
+)
 from magnuskit.wreath import (
     FormKey,
     Measure,
@@ -437,6 +446,36 @@ def test_conjugacy_over_wreath_bases(inner):
             assert not built and _brute_conjugate(G, u, v, 4) is None
 
 
+def test_conjugacy_over_a_distorted_wreath_base():
+    # beta's base part is central in Heisenberg, so |beta^25| = 20 < 25:
+    # membership recurses into the base instead of bounding the exponent by
+    # a length, and u's two lamps share one coset, so u is inert
+    H = HeisenbergHandle(cap=20)
+    B = WreathGroup(Z, H)
+    beta = base_generator(Z, H, (0, 0, 1))
+    beta25 = w_power(beta, 25)
+    assert B.power_membership(beta25, beta) == 25
+    assert B.power_membership(w_multiply(beta25, lamp_generator(Z, H, (1,))), beta) is None
+    u = wreath_element(Z, B, [(B.identity, (1,)), (beta25, (-1,))], beta)
+    v = base_generator(Z, B, beta)
+    res = conjugacy_test(u, v)
+    assert res.conjugate and res.complete and res.case == "inert-base"
+    assert w_multiply(u, res.witness) == w_multiply(res.witness, v)
+
+
+def test_conjugacy_over_a_finite_wreath_base():
+    # in Z/2 wr Z/2 the order of (1 at 0, 1) is 4, so <b> and its cosets
+    # are found only with the true order, not lcm(2, 2) = 2
+    A, B = Z, WreathGroup(ZNHandle(2), ZNHandle(2))
+    rng = random.Random(1)
+    for _ in range(300):
+        u = random_wreath_element(A, B, rng, 4)
+        v = w_conjugate(u, random_wreath_element(A, B, rng, 4))
+        res = conjugacy_test(u, v)
+        assert res.conjugate and res.complete
+        assert w_multiply(u, res.witness) == w_multiply(res.witness, v)
+
+
 @pytest.mark.parametrize("base", [HeisenbergHandle(cap=12), FreeHandle(2)], ids=lambda h: h.kind)
 def test_inert_pairs_agree_with_reference_scan(base):
     # inert pairs reduce to conjugacy of their base parts, decided by
@@ -524,6 +563,14 @@ def test_wreath_handle_order():
     # oracle: the order really is the least trivialising power
     for k in range(1, 7):
         assert w_power(w, k).is_identity == (k == 6)
+    # the order is N * lcm(lamp orders of u^N), not their lcm: in Z/2 wr Z/2
+    # (1 at 0, 1) squares to (1 at 0 and 1, 0), so its order is 4
+    Z2wrZ2 = WreathGroup(ZNHandle(2), ZNHandle(2))
+    assert Z2wrZ2.order(wreath_element(ZNHandle(2), ZNHandle(2), [(0, 1)], 1)) == 4
+    for _, x in enumerate_finite(Z2wrZ2):
+        n = Z2wrZ2.order(x)
+        assert w_power(x, n).is_identity
+        assert not any(w_power(x, k).is_identity for k in range(1, n))
 
 
 def test_wreath_handle_distance_beyond_cap():
