@@ -334,7 +334,7 @@ def check_distortion():
                 delta <= 2 * n,
                 f"distortion {delta} > 2n at n={n} for word {letters}",
             )
-    H = HeisenbergHandle(cap=10)
+    H = HeisenbergHandle()
     z = H.from_word(FreeWord(2, (1, 2, -1, -2)))
     delta8 = cyclic_distortion(H, z, 8)
     _require(delta8 >= 4, f"Heisenberg central distortion at 8 is {delta8} < 4")
@@ -358,7 +358,7 @@ def check_central_family_lower_bound():
             scan.min_length.exact and scan.min_length.value >= 4 * n,
             f"minimal conjugator {scan.min_length.value} < 4n at n={n}",
         )
-    H = HeisenbergHandle(cap=18)
+    H = HeisenbergHandle()
     x = (0, 0, 1)
     y = (1, 0, 0)
     hspec = FamilySpec(A, H, x, y, "central")

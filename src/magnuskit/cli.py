@@ -58,10 +58,8 @@ def _load_config(args) -> RunConfig:
             else:
                 base = json.load(fh)
     cfg = RunConfig(**base) if base else DEFAULT
-    for field in ("travel_exact_max", "bfs_cap"):
-        val = getattr(args, field, None)
-        if val is not None:
-            cfg = cfg.with_(**{field: val})
+    if args.travel_exact_max is not None:
+        cfg = cfg.with_(travel_exact_max=args.travel_exact_max)
     if getattr(args, "seed", None) is not None:
         cfg = cfg.with_(seed=args.seed)
     return cfg
@@ -233,7 +231,6 @@ def build_parser():
     top.add_argument("--config", help="JSON (or TOML on 3.11+) config file")
     top.add_argument("--format", default="csv", choices=("csv", "json"))
     top.add_argument("--travel-exact-max", type=int, dest="travel_exact_max")
-    top.add_argument("--bfs-cap", type=int, dest="bfs_cap")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fox", help="(projected) derivative of a word")

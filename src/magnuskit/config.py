@@ -12,8 +12,6 @@ class RunConfig:
         in flow-support components for the free-solvable connection cost;
         larger instances fall back to nearest-neighbour + 2-opt and carry
         an upper-bound flag.
-    bfs_cap: default Cayley-graph BFS radius for groups without a
-        closed-form metric.
     walk_cost_cap / walk_node_cap: ceilings for the one exploration that
         measures the distances between flow-support components in the
         geodesic-length formula: the largest distance it searches, and the
@@ -23,7 +21,6 @@ class RunConfig:
     """
 
     travel_exact_max: int = 9
-    bfs_cap: int = 8
     walk_cost_cap: int = 64
     walk_node_cap: int = 200_000
     seed: int = 0

@@ -8,24 +8,23 @@ conjugator.  Shipped handles:
     ZrHandle        Z^r with the L1 metric (closed form)
     ZNHandle        Z/N with the cyclic metric (closed form)
     PermHandle      a small symmetric group (BFS over the whole group)
-    HeisenbergHandle  the discrete Heisenberg group (BFS within a cap)
+    HeisenbergHandle  the discrete Heisenberg group (closed form)
     FreeHandle      the free group itself (reduced length, closed form)
 
-BFS-backed metrics honour a radius cap and raise BeyondCapError past it.
 ``ball``/``ball_layers`` give the breadth-first oracle used to cross-check
 every closed-form or formula-based length in the tests.
 
-Handles are immutable after construction; the BFS caches only grow and
-their writes are idempotent, so concurrent readers are safe and a single
-writer needs no coordination beyond the interpreter's own.
+Handles are immutable after construction, apart from the permutation
+group's distance table: it is built on first use, and racing builders build
+the same table, so concurrent readers are safe.
 """
 
 import json
-from math import gcd, lcm
+from bisect import bisect_left
+from math import gcd, isqrt, lcm
 from operator import add
 
 from .config import DEFAULT, RunConfig
-from .errors import BeyondCapError
 from .words import FreeWord, identity as word_identity
 
 class GroupHandle:
@@ -34,8 +33,6 @@ class GroupHandle:
     kind = "?"
     is_abelian = False
     is_finite = False
-    # BFS-backed handles set this to their radius cap; None means unbounded.
-    max_ball_radius = None
 
     # -- required operations -------------------------------------------
     # identity (attribute), generators(), multiply, invert, key,
@@ -95,8 +92,8 @@ def handle_from_descriptor(desc: dict, config: RunConfig = DEFAULT) -> GroupHand
     """Build a handle from its descriptor JSON under the run's config.
 
     ``{"kind":"free_solvable","r":r,"d":1}`` normalises to Z^r: derived
-    length one is the abelianisation.  A Heisenberg descriptor without a
-    cap takes config.bfs_cap.
+    length one is the abelianisation.  A Heisenberg descriptor's ``"cap"``
+    is ignored: its metric is a closed form.
     """
     kind = desc.get("kind")
     if kind == "Zr":
@@ -104,7 +101,7 @@ def handle_from_descriptor(desc: dict, config: RunConfig = DEFAULT) -> GroupHand
     if kind == "ZN":
         return ZNHandle(int(desc["N"]))
     if kind == "heisenberg":
-        return HeisenbergHandle(cap=int(desc.get("cap", config.bfs_cap)))
+        return HeisenbergHandle()
     if kind == "perm":
         return PermHandle(int(desc.get("degree", 3)))
     if kind == "free":
@@ -149,10 +146,6 @@ def ball_layers(handle: GroupHandle, max_radius=None):
 
 def ball(handle: GroupHandle, radius: int) -> dict:
     """All elements within the radius, as an ordered dict key -> (element, distance)."""
-    if handle.max_ball_radius is not None and radius > handle.max_ball_radius:
-        raise BeyondCapError(
-            f"ball radius {radius} exceeds cap {handle.max_ball_radius} for {handle.kind}"
-        )
     out = {}
     for r, layer in ball_layers(handle, radius):
         for k, x in layer:
@@ -436,19 +429,15 @@ class HeisenbergHandle(GroupHandle):
     Elements are triples (a, b, c) standing for the matrix with top row
     (1, a, c) and middle row (0, 1, b).  Generators are x1 = (1,0,0) and
     x2 = (0,1,0); their commutator is the central element (0,0,1).
-    Distances come from BFS within the configured cap; there is no closed
-    form here and exactness matters more than range.
+    Distances are an exact closed form (``norm``) at every radius; ``cap``
+    is kept for callers that size their own BFS oracles, and never read.
     """
 
     kind = "heisenberg"
 
     def __init__(self, cap: int = 8):
         self.cap = cap
-        self.max_ball_radius = cap
         self.identity = (0, 0, 0)
-        self._dist = {(0, 0, 0): 0}
-        self._frontier = [(0, 0, 0)]
-        self._radius = 0
 
     def generators(self):
         return [("x1", (1, 0, 0)), ("x2", (0, 1, 0))]
@@ -475,27 +464,24 @@ class HeisenbergHandle(GroupHandle):
             acc = self.multiply(acc, g if let > 0 else self.invert(g))
         return acc
 
-    def _expand_to(self, radius: int):
-        steps = [g for _, g in self.gen_steps()]
-        while self._radius < radius and self._frontier:
-            nxt = []
-            for x in self._frontier:
-                for s in steps:
-                    y = self.multiply(x, s)
-                    if y not in self._dist:
-                        self._dist[y] = self._radius + 1
-                        nxt.append(y)
-            self._frontier = nxt
-            self._radius += 1
-
     def norm(self, u) -> int:
-        """Word length of u; BeyondCapError past the BFS cap."""
-        u = tuple(u)
-        if u not in self._dist:
-            self._expand_to(self.cap)
-        if u in self._dist:
-            return self._dist[u]
-        raise BeyondCapError(f"|{u}| exceeds Heisenberg BFS cap {self.cap}")
+        """Word length of u = (a, b, c), exactly.
+
+        Words of length L reading (a, b, ?) read every c in
+        [-_sweep_max(-a, b, L), _sweep_max(a, b, L)]: an adjacent swap of
+        letters moves c by at most 1, and putting every x2^±1 first reads 0.
+        The interval grows with L (append x1 x1^-1), so |u| is the least
+        L >= |a| + |b| of the parity of a + b whose interval holds c; it is
+        bisected up to |a| + |b| + 4k, k = ceil(sqrt|c|), where S = |b| + 2k
+        vertical steps already sweep k^2.
+        """
+        a, b, c = u
+        if c < 0:
+            a, c = -a, -c
+        lo = abs(a) + abs(b)
+        k = isqrt(c - 1) + 1 if c else 0
+        lengths = range(lo, lo + 4 * k + 1, 2)
+        return lo + 2 * bisect_left(lengths, c, key=lambda L: _sweep_max(a, b, L))
 
     def distance(self, a, b) -> int:
         return self.norm(self.multiply(self.invert(a), b))
@@ -536,6 +522,27 @@ class HeisenbergHandle(GroupHandle):
 
     def describe(self):
         return {"kind": "heisenberg"}
+
+
+def _sweep_max(a: int, b: int, L: int) -> int:
+    """The largest c read by a word of length L reading (a, b, c), for
+    L >= |a| + |b| of the parity of a + b.
+
+    A word is a lattice path from (0, 0) to (a, b); an x2^±1 step at
+    abscissa x adds ±x to c.  With S vertical steps, U up and D down, and
+    abscissae in [m, M], c <= U*M - D*m, and the L - S horizontal steps
+    give M - m <= W = (L - S + |a|)/2.  For b >= 0 (U - D = b) the best
+    range is [-q, W - q], q = max(0, -a) being how far left of 0 the path
+    must go, so c <= U*W - b*q = (S + b)(L + |a| - S)/4 - b*q, attained by
+    the x2^-1 steps at -q and the x2 steps at W - q; b < 0 is the mirror
+    image.  The bound is a parabola in S with the integer vertex
+    (L + |a| - |b|)/2, so the best S = b (mod 2) in [|b|, L - |a|] is the
+    vertex, or else the tied neighbour below it, clamped into that range.
+    """
+    q = max(0, -a) if b >= 0 else max(0, a)
+    a, b = abs(a), abs(b)
+    s = min(max(b + 2 * ((L + a - 3 * b) // 4), b), L - a)
+    return (s + b) * (L + a - s) // 4 - b * q
 
 
 def _extended_gcd(a: int, b: int):

@@ -507,6 +507,7 @@ def conjugator_for_z(u: WreathElement, v: WreathElement, z) -> Optional[WreathEl
         if alpha is None:
             return None
         fcur = gcur = A.identity
+        pos = B.multiply(B.power(u.b, ks.start), t)  # b^k t, one step per k
         for k in ks:
             if k in fmap:
                 fcur = A.multiply(fmap[k], fcur)
@@ -514,7 +515,8 @@ def conjugator_for_z(u: WreathElement, v: WreathElement, z) -> Optional[WreathEl
                 gcur = A.multiply(gmap[k], gcur)
             val = A.multiply(A.multiply(fcur, alpha), A.invert(gcur))
             if A.key(val) != A.key(A.identity):
-                pairs.append((B.multiply(B.power(u.b, k), t), val))
+                pairs.append((pos, val))
+            pos = B.multiply(u.b, pos)
 
     witness = wreath_element(A, B, pairs, z)
     if w_multiply(u, witness) != w_multiply(witness, v):

@@ -21,6 +21,7 @@ from magnuskit.clf import (
     z2_triangle_family,
 )
 from magnuskit.wreath import (
+    WreathGroup,
     conjugator_for_z,
     w_length,
     w_length_floor,
@@ -49,19 +50,28 @@ def test_distortion_solvable_quick():
 
 
 def test_distortion_heisenberg_central():
-    H = HeisenbergHandle(cap=12)
+    H = HeisenbergHandle()
     delta8 = cyclic_distortion(H, (0, 0, 1), 8)
     assert delta8 >= 4  # the k=2 central power word has length 8
     # frozen BFS values: the ratio delta(n)/n climbs (0.5 -> 0.75), the
     # desk-scale footprint of quadratic central distortion
     assert delta8 == 4
     assert cyclic_distortion(H, (0, 0, 1), 12) == 9
+    # the closed form carries the quadratic law past any BFS radius
+    deltas = [cyclic_distortion(H, (0, 0, 1), n) for n in range(1, 51)]
+    assert deltas == [(n // 2) ** 2 // 4 for n in range(1, 51)]
+    assert deltas[19] == 25 and deltas[49] == 156
 
 
-def test_distortion_cap_guard():
-    H = HeisenbergHandle(cap=6)
+def test_distortion_propagates_beyond_cap():
+    # |x^m| = 2m for x = (1 at 0, shift 1); a length past the exact travel
+    # threshold is no evidence that x^m is longer than n, so it propagates
+    # instead of reading delta(12) = 4 where the true value is 6
+    x = wreath_element(Z1, Z1, [((0,), (1,))], (1,))
+    assert cyclic_distortion(WreathGroup(Z1, Z1), x, 3) == 1
+    capped = WreathGroup(Z1, Z1, DEFAULT.with_(travel_exact_max=3))
     with pytest.raises(BeyondCapError):
-        cyclic_distortion(H, (0, 0, 1), 8)
+        cyclic_distortion(capped, x, 12)
 
 
 def test_central_family_instance():
@@ -96,7 +106,7 @@ def test_central_min_conjugator_small():
 
 
 def test_central_family_heisenberg_small():
-    H = HeisenbergHandle(cap=12)
+    H = HeisenbergHandle()
     spec = FamilySpec(Z1, H, (0, 0, 1), (1, 0, 0), "central")
     inst = central_family(spec, 4)
     assert inst.delta == 1
@@ -131,10 +141,8 @@ def test_z2_min_conjugator_quadratic():
         assert scan.min_length.lower >= n * n + n
 
 
-@pytest.mark.parametrize("base", [Z2, HeisenbergHandle(cap=12), FreeHandle(2)], ids=lambda B: B.kind)
+@pytest.mark.parametrize("base", [Z2, HeisenbergHandle(), FreeHandle(2)], ids=lambda B: B.kind)
 def test_length_floor_is_sound_in_both_travel_regimes(base):
-    # points and b within 6 base steps of e keep every distance that
-    # travel reads within the Heisenberg BFS cap
     rng = random.Random(2024)
     steps = [g for _, g in base.gen_steps()]
 
@@ -176,7 +184,7 @@ def test_z2_selection_equals_exhaustive(x, y):
 
 @pytest.mark.parametrize(
     "B,x,y,ns",
-    [(Z2, (1, 0), (0, 1), range(1, 6)), (HeisenbergHandle(cap=12), (0, 0, 1), (1, 0, 0), [4])],
+    [(Z2, (1, 0), (0, 1), range(1, 6)), (HeisenbergHandle(), (0, 0, 1), (1, 0, 0), [4])],
     ids=["Zr", "heisenberg"],
 )
 def test_central_selection_equals_exhaustive(B, x, y, ns):

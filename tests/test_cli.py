@@ -202,6 +202,19 @@ def test_family_command(capsys):
     assert all(int(m) >= int(b) for _, m, b, *_ in rows)
 
 
+def test_family_command_over_the_heisenberg_centre(capsys):
+    # delta(12) = 9 needs |(0, 0, m)| for m up to 338: the closed-form
+    # metric answers at every radius
+    code, out, _ = run(
+        capsys, "family", "--kind", "central", "--group", '{"kind":"heisenberg"}',
+        "--x", "[1,2,-1,-2]", "--y", "[1]", "--n-max", "12", "--seed", "1",
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 12
+    assert all(int(m) >= int(b) for _, m, b, *_ in rows)
+
+
 FAMILY_ROWS = {
     ("z2", "x1", "x2"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,0,34,1 4,52,20,0,52,1 "
     "5,72,30,0,72,1 6,100,42,0,100,1",
@@ -249,20 +262,14 @@ def test_parse_error_exit_code(capsys):
     assert code == 2
 
 
-def test_beyond_cap_exit_code(capsys):
-    # a lamp planted beyond the base BFS cap makes the metric unreachable
-    u = json.dumps({"f": [{"at": [3, 0, 0], "val": [1]}], "b": [0, 0, 0]})
-    v = json.dumps({"f": [{"at": [0, 3, 0], "val": [1]}], "b": [0, 0, 0]})
-    code, _, err = run(
-        capsys,
-        "wreath-conj",
-        u,
-        v,
-        "--lamp",
-        '{"kind":"Zr","r":1}',
-        "--base",
-        '{"kind":"heisenberg","cap":2}',
-    )
+def test_beyond_cap_exit_code(capsys, tmp_path):
+    # two flow-support components a distance above walk_cost_cap apart
+    word = "x1 x2 x1^-1 x2^-1 x1^3 x2 x1 x2^-1 x1^-1 x1^-3"
+    code, out, _ = run(capsys, "len", word, "--r", "2", "--d", "2")
+    assert code == 0 and out.strip() == "12 exact"
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"walk_cost_cap": 1}))
+    code, _, err = run(capsys, "--config", str(cfgfile), "len", word, "--r", "2", "--d", "2")
     assert code == 3
     assert "beyond-cap" in err
 
@@ -301,7 +308,7 @@ def test_config_file_and_json_format(capsys, tmp_path):
     assert rows[0]["n"] == 1 and rows[0]["measured"] == 1
 
 
-@pytest.mark.parametrize("key", ["no_such_option", "jobs", "z_scan_slack"])
+@pytest.mark.parametrize("key", ["no_such_option", "jobs", "z_scan_slack", "bfs_cap"])
 def test_bad_config_key_is_parse_error(capsys, tmp_path, key):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({key: 1}))

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from magnuskit.errors import BeyondCapError
 from magnuskit.groups import (
     FreeHandle,
     HeisenbergHandle,
@@ -23,7 +22,7 @@ HANDLES = [
     ZrHandle(2),
     ZNHandle(6),
     PermHandle(3),
-    HeisenbergHandle(cap=6),
+    HeisenbergHandle(),
     FreeHandle(2),
 ]
 
@@ -54,14 +53,11 @@ def test_metric_axioms_random(handle):
     rng = random.Random(6)
     for _ in range(60):
         a, b, c = (_random_element(handle, rng, steps=2) for _ in range(3))
-        try:
-            dab = handle.distance(a, b)
-            dbc = handle.distance(b, c)
-            dac = handle.distance(a, c)
-            k = _random_element(handle, rng, steps=2)
-            left = handle.distance(handle.multiply(k, a), handle.multiply(k, b))
-        except BeyondCapError:
-            continue
+        dab = handle.distance(a, b)
+        dbc = handle.distance(b, c)
+        dac = handle.distance(a, c)
+        k = _random_element(handle, rng, steps=2)
+        left = handle.distance(handle.multiply(k, a), handle.multiply(k, b))
         assert dac <= dab + dbc
         assert left == dab  # left invariance
         assert (dab == 0) == (handle.key(a) == handle.key(b))
@@ -90,7 +86,7 @@ def test_zn_distance_and_order():
 
 
 def test_heisenberg_commutator_distance():
-    H = HeisenbergHandle(cap=6)
+    H = HeisenbergHandle()
     z = H.from_word(FreeWord(2, (1, 2, -1, -2)))
     assert z == (0, 0, 1)
     assert H.distance(H.identity, z) == 4
@@ -98,7 +94,7 @@ def test_heisenberg_commutator_distance():
 
 def test_heisenberg_central_power_words():
     # [x1^k, x2^k] lands on the k^2-th central power, so |z^(k^2)| <= 4k.
-    H = HeisenbergHandle(cap=14)
+    H = HeisenbergHandle()
     for k in (1, 2, 3):
         w = FreeWord(2, (1,) * k + (2,) * k + (-1,) * k + (-2,) * k)
         assert H.from_word(w) == (0, 0, k * k)
@@ -111,14 +107,9 @@ def test_ball_counts():
     assert len(ball(ZNHandle(6), 3)) == 6  # whole group
 
 
-def test_ball_cap_enforced():
-    with pytest.raises(BeyondCapError):
-        ball(HeisenbergHandle(cap=3), 4)
-
-
 def test_heisenberg_ball_against_word_enumeration():
     # Independent oracle: multiply out every word of length <= 3 directly.
-    H = HeisenbergHandle(cap=3)
+    H = HeisenbergHandle()
     seen = set()
     gens = [g for _, g in H.gen_steps()]
     for n in range(0, 4):
@@ -128,6 +119,23 @@ def test_heisenberg_ball_against_word_enumeration():
                 acc = H.multiply(acc, s)
             seen.add(acc)
     assert seen == set(ball(H, 3))
+
+
+def test_heisenberg_norm_against_bfs_ball():
+    # the closed form against the breadth-first oracle on all 68,079
+    # elements of the radius-20 ball; each (a, b) slice of the ball is an
+    # interval of c, and the c just outside it lies outside the ball
+    H = HeisenbergHandle()
+    R = 20
+    slices = {}
+    for (a, b, c), (_, r) in ball(H, R).items():
+        assert H.norm((a, b, c)) == r
+        slices.setdefault((a, b), []).append(c)
+    assert sum(map(len, slices.values())) == 68079
+    for (a, b), cs in slices.items():
+        assert max(cs) - min(cs) + 1 == len(cs)
+        assert H.norm((a, b, min(cs) - 1)) > R
+        assert H.norm((a, b, max(cs) + 1)) > R
 
 
 def test_order_infinite_cases():
@@ -158,7 +166,7 @@ def test_power_membership_zr():
         Z2.power_membership((1, 1), (0, 0))
 
 
-Z_WR_HEIS = WreathGroup(ZrHandle(1), HeisenbergHandle(cap=20))
+Z_WR_HEIS = WreathGroup(ZrHandle(1), HeisenbergHandle())
 WREATHS = {
     "wreath": WreathGroup(ZNHandle(2), ZrHandle(1)),
     "Z_wr_heis": Z_WR_HEIS,
@@ -244,6 +252,7 @@ def test_descriptor_round_trip():
         {"kind": "Zr", "r": 2},
         {"kind": "ZN", "N": 6},
         {"kind": "heisenberg"},
+        {"kind": "heisenberg", "cap": 18},  # ignored: the metric is closed-form
         {"kind": "perm", "degree": 3},
         {"kind": "free", "rank": 2},
         {"kind": "free_solvable", "r": 2, "d": 2},

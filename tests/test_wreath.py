@@ -176,7 +176,7 @@ def test_travel_cost_heisenberg_base():
     # non-abelian base distances feed the same subset DP
     from magnuskit.groups import HeisenbergHandle
 
-    H = HeisenbergHandle(cap=8)
+    H = HeisenbergHandle()
     rng = random.Random(51)
     gens = [g for _, g in H.gen_steps()]
     for _ in range(40):
@@ -408,7 +408,7 @@ def test_conjugacy_order_mismatch_short_circuits():
 def test_conjugacy_over_heisenberg_agrees_with_reference_scan():
     # a non-abelian infinite base: the support-aligned decision must find a
     # conjugator whenever the radius-bounded reference scan does
-    H = HeisenbergHandle(cap=12)
+    H = HeisenbergHandle()
     G = WreathGroup(Z, H)
     rng = random.Random(61)
     pairs = 0
@@ -450,7 +450,7 @@ def test_conjugacy_over_a_distorted_wreath_base():
     # beta's base part is central in Heisenberg, so |beta^25| = 20 < 25:
     # membership recurses into the base instead of bounding the exponent by
     # a length, and u's two lamps share one coset, so u is inert
-    H = HeisenbergHandle(cap=20)
+    H = HeisenbergHandle()
     B = WreathGroup(Z, H)
     beta = base_generator(Z, H, (0, 0, 1))
     beta25 = w_power(beta, 25)
@@ -461,6 +461,39 @@ def test_conjugacy_over_a_distorted_wreath_base():
     res = conjugacy_test(u, v)
     assert res.conjugate and res.complete and res.case == "inert-base"
     assert w_multiply(u, res.witness) == w_multiply(res.witness, v)
+
+
+def test_conjugator_assembly_steps_through_each_coset(monkeypatch):
+    # h(b^k t) is read at every exponent k of a coset's span; one product
+    # per step keeps the assembly linear in the span where B.power is
+    # iterated multiplication
+    import magnuskit.wreath as wreath
+
+    H = HeisenbergHandle()
+    B = WreathGroup(Z, H)
+    beta = base_generator(Z, H, (0, 0, 1))
+    n = 200
+    u = wreath_element(Z, B, [(B.identity, (1,)), (w_power(beta, n), (-1,))], beta)
+    v = base_generator(Z, B, beta)
+    calls = {"power": 0, "w_multiply": 0}
+    power, multiply = WreathGroup.power, wreath.w_multiply
+
+    def counting_power(self, b, k):
+        calls["power"] += 1
+        return power(self, b, k)
+
+    def counting_multiply(x, y):
+        calls["w_multiply"] += 1
+        return multiply(x, y)
+
+    monkeypatch.setattr(WreathGroup, "power", counting_power)
+    monkeypatch.setattr(wreath, "w_multiply", counting_multiply)
+    witness = conjugator_for_z(u, v, B.identity)
+    monkeypatch.undo()
+    assert witness is not None and len(witness.f) == n
+    assert w_multiply(u, witness) == w_multiply(witness, v)
+    assert calls["power"] == 1  # one coset
+    assert calls["w_multiply"] <= 3 * n
 
 
 def test_conjugacy_over_a_finite_wreath_base():
@@ -476,7 +509,7 @@ def test_conjugacy_over_a_finite_wreath_base():
         assert w_multiply(u, res.witness) == w_multiply(res.witness, v)
 
 
-@pytest.mark.parametrize("base", [HeisenbergHandle(cap=12), FreeHandle(2)], ids=lambda h: h.kind)
+@pytest.mark.parametrize("base", [HeisenbergHandle(), FreeHandle(2)], ids=lambda h: h.kind)
 def test_inert_pairs_agree_with_reference_scan(base):
     # inert pairs reduce to conjugacy of their base parts, decided by
     # base.conjugator instead of a ball scan
@@ -508,7 +541,7 @@ def test_inert_pairs_agree_with_reference_scan(base):
 def test_conjugacy_heisenberg_lamp_finite_base():
     # finite-order base parts need lamp conjugators in an infinite
     # non-abelian lamp group
-    G = WreathGroup(HeisenbergHandle(cap=8), ZNHandle(2))
+    G = WreathGroup(HeisenbergHandle(), ZNHandle(2))
     rng = random.Random(63)
     for _ in range(40):
         u = _rand_elem(G, rng, steps=6)
