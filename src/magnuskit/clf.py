@@ -395,7 +395,11 @@ def clf_scan(
 ) -> list[ScanRow]:
     """Generate conjugate pairs (u, gamma^-1 u gamma), find a verified
     conjugator for each, and compare its length against the closed-form
-    bound; rows record the comparison and assert measured <= bound."""
+    bound; rows record the comparison and assert measured <= bound.  A
+    negative n_max admits no pair (lengths are nonnegative), so it is
+    rejected instead of drawing forever."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     rng = random.Random(seed)
     rows = []
     produced = 0

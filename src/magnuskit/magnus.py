@@ -11,6 +11,15 @@ The image is the one normal form of an element of S_{r,d}: products and
 inverses are computed on images, and a word is embedded only when an
 element is built from it.
 
+A word is embedded in one walk over it per derived level, read as the
+edge flow of its path (Myasnikov, Roman'kov, Ushakov and Vershik): the
+prefixes are Z^r vectors at level one, and the walk at level l keeps the
+running cell map of the prefix's form in S_{r,l} and the set of its
+cells, each letter changing one cell.  Every prefix below the top level is
+a snapshot of the two, so no prefix is composed by w_multiply or keyed by
+a loop over its cells; fox.projected_derivatives stays the ring-valued
+view of the same coefficients.
+
 The same coordinates, read as a function on Cayley-graph edges, are the
 net edge-traversal flow of the path w reads in Cay(Q), so lengths are read
 off the image too.  Word length in F/N' is the total flow plus twice the
@@ -26,10 +35,10 @@ from functools import lru_cache
 
 from .config import DEFAULT, RunConfig
 from .errors import BeyondCapError, InvariantViolation
-from .fox import projected_derivatives
 from .groups import GroupHandle, ZrHandle
 from .wreath import (
     ConjugacyResult,
+    FormKey,
     Measure,
     WreathElement,
     base_part_candidates,
@@ -40,25 +49,114 @@ from .wreath import (
     w_length,
     w_multiply,
     w_power_membership,
-    wreath_element,
 )
 from .words import FreeWord, from_json as word_from_json, identity as word_identity, to_json as word_to_json
 
 
 def magnus_embed(w: FreeWord, Q: GroupHandle, lamp: ZrHandle | None = None) -> WreathElement:
-    """Image of the word w in Z^r wr Q."""
+    """Image of the word w in Z^r wr Q.
+
+    One walk over w, as in fox.projected_derivatives but with every
+    prefix's image and key taken from _prefixes: a letter x_i adds +1 to
+    coordinate i at the prefix before it, x_i^-1 adds -1 at the prefix
+    after it.  A cell's representative is the prefix at the latest
+    (re)entry of its lowest-index nonzero coordinate, and cells come in
+    the order of the coordinate maps (coordinate, then entry).
+    """
     r = w.rank
     A = lamp if lamp is not None else ZrHandle(r)
-    ders, endpoint = projected_derivatives(w, Q)
+    prefixes = _prefixes(w, Q)
+    terms = [{} for _ in range(r)]
+    for k, let in enumerate(w.letters):
+        if let > 0:
+            (q, qk), t, c = prefixes[k], terms[let - 1], 1
+        else:
+            (q, qk), t, c = prefixes[k + 1], terms[-let - 1], -1
+        old = t.get(qk)
+        if old is None:
+            t[qk] = (q, c)
+        elif old[1] + c:
+            t[qk] = (old[0], old[1] + c)
+        else:
+            del t[qk]
     cells: dict = {}
-    for i, der in enumerate(ders):
-        for elem, coeff in der.terms():  # cells are keyed, so any order will do
-            k = Q.key(elem)
-            if k not in cells:
-                cells[k] = (elem, [0] * r)
-            cells[k][1][i] = coeff
-    pairs = [(elem, tuple(vec)) for elem, vec in cells.values() if any(vec)]
-    return wreath_element(A, Q, pairs, endpoint)
+    for i, t in enumerate(terms):
+        for qk, (q, c) in t.items():
+            if qk not in cells:
+                cells[qk] = (q, [0] * r)
+            cells[qk][1][i] = c
+    f = {qk: (q, tuple(vec)) for qk, (q, vec) in cells.items()}
+    return WreathElement(A, Q, f, prefixes[-1][0])
+
+
+def _prefixes(w: FreeWord, Q: GroupHandle) -> list:
+    """The images in Q of the prefixes w[:0], ..., w[:n], as (element, key)
+    pairs: integer vectors in Z^r, the snapshots of one flow walk per
+    derived level in S_{r,d}, and a chain of products in any other Q."""
+    gens = [g for _, g in Q.generators()]
+    if len(gens) < w.rank:
+        raise ValueError(f"quotient has {len(gens)} generators, word has rank {w.rank}")
+    if isinstance(Q, SolvableGroup):
+        return _flow_snapshots(w, Q, _prefixes(w, Q.base))
+    if isinstance(Q, ZrHandle):
+        vec = [0] * Q.r
+        out = [(Q.identity, Q.identity)]
+        for let in w.letters:
+            vec[abs(let) - 1] += 1 if let > 0 else -1
+            q = tuple(vec)
+            out.append((q, q))
+        return out
+    steps = {i: g for i, g in enumerate(gens, 1)}
+    steps.update({-i: Q.invert(g) for i, g in enumerate(gens, 1)})
+    q = Q.identity
+    out = [(q, Q.key(q))]
+    for let in w.letters:
+        q = Q.multiply(q, steps[let])
+        out.append((q, Q.key(q)))
+    return out
+
+
+def _flow_snapshots(w: FreeWord, S: "SolvableGroup", below: list) -> list:
+    """The prefixes of w in S = S_{r,d}, given their images `below` in
+    S_{r,d-1}, from one walk over w.
+
+    The walk keeps the running cell map of the prefix's Magnus form
+    (position key -> (representative, lamp vector)) and the running set of
+    its (position key, lamp vector) cells; each letter changes one cell.
+    Every prefix is a snapshot: copies of the map and of the set, which
+    are C-level and reuse the stored hashes, so the prefix's FormKey is
+    built without a loop over its cells.  Representatives follow
+    w_multiply's rule, so a snapshot equals the product form of the
+    prefix: a cell keeps the prefix at which it last became nonzero.
+    """
+    A, B, R = S.lamp, S.base, S.r
+    steps = {i: g for i, (_, g) in enumerate(A.generators(), 1)}  # x_i moves coordinate i
+    steps.update({-i: A.invert(g) for i, g in list(steps.items())})
+    letters = w.letters
+    cells: dict = {}
+    live: set = set()
+
+    def snapshot(k):
+        b, bk = below[k]
+        key = FormKey(bk, frozenset(live))
+        form = WreathElement(A, B, dict(cells), b, key)
+        return SolvableElement(S, FreeWord(R, letters[:k], _reduced=True), form), key
+
+    out = [snapshot(0)]
+    for k, let in enumerate(letters):
+        q, qk = below[k] if let > 0 else below[k + 1]
+        vec = steps[let]
+        old = cells.get(qk)
+        if old is not None:
+            live.remove((qk, old[1]))
+            q, vec = old[0], A.multiply(old[1], vec)
+        if any(vec):
+            cells[qk] = (q, vec)  # in place: the cell order is w_multiply's
+            live.add((qk, vec))
+        else:
+            del cells[qk]
+        out.append(snapshot(k + 1))
+    return out
 
 
 # -- edge flows ----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -253,6 +254,74 @@ def test_clf_scan_command(capsys):
     assert code == 0
     lines = out.strip().split("\n")
     assert len(lines) == 6
+
+
+def test_clf_scan_rejects_a_negative_n_max(capsys):
+    # no pair has a negative length sum, so the draw loop would never end
+    code, out, err = run(
+        capsys, "clf-scan", "--lamp", '{"kind":"Zr","r":1}', "--base", '{"kind":"Zr","r":2}',
+        "--samples", "5", "--n-max", "-1", "--seed", "11",
+    )
+    assert code == 2 and out == "" and "n_max" in err
+
+
+def _s22(letters):
+    return {"r": 2, "d": 2, "word": letters}
+
+
+EMBED_D3_WORD = [-2, 1, 2, 2, -1, -2, 1, -2, -1, 2, 2, 1, -2, -1, -1]
+EMBED_D4_WORD = [
+    2, 2, 1, 2, -1, -2, -2, 1, 2, -1, 2, 1, -2, -1, -1, 2, 1, -2, 1, -2, -1, 2, 2, -1, -2, 1, -2, 1, 2,
+    2, -1, -2, 1, -2, -1, 2, 2, 1, -2, -1, -1, 2, 1, -2, -2, 1, 2, -1, 2, -1, -2, 1, 1, -2, -1, 2, 1,
+]
+EMBED_OUTPUT = {
+    2: {
+        "f": [
+            {"at": [-1, 1], "val": [-1, 0]},
+            {"at": [0, 0], "val": [1, 0]},
+            {"at": [0, 1], "val": [0, -1]},
+            {"at": [0, 2], "val": [-1, 0]},
+            {"at": [1, 0], "val": [0, 1]},
+            {"at": [1, 1], "val": [0, 1]},
+        ],
+        "b": [-1, 1],
+    },
+    # the walk comes back to the class of x2^-1 after a prefix that is
+    # trivial in S_{2,2}; each cell is printed at the prefix where its
+    # lowest nonzero coordinate last entered
+    3: {
+        "f": [
+            {"at": _s22(EMBED_D3_WORD), "val": [-1, 0]},
+            {"at": _s22(EMBED_D3_WORD[:1]), "val": [1, -1]},
+            {"at": _s22(EMBED_D3_WORD[:9]), "val": [-1, 1]},
+            {"at": _s22(EMBED_D3_WORD[:14]), "val": [-1, 0]},
+            {"at": _s22(EMBED_D3_WORD[:6]), "val": [1, -1]},
+            {"at": _s22(EMBED_D3_WORD[:10]), "val": [0, 1]},
+            {"at": _s22(EMBED_D3_WORD[:5]), "val": [-1, 0]},
+            {"at": _s22(EMBED_D3_WORD[:11]), "val": [1, 0]},
+            {"at": _s22(EMBED_D3_WORD[:2]), "val": [0, 1]},
+            {"at": _s22(EMBED_D3_WORD[:8]), "val": [0, -1]},
+            {"at": _s22(EMBED_D3_WORD[:3]), "val": [0, 1]},
+            {"at": _s22(EMBED_D3_WORD[:13]), "val": [0, -1]},
+        ],
+        "b": _s22(EMBED_D3_WORD),
+    },
+    # 6,296 bytes, pinned by digest
+    4: "3c54878df1b2e6b8e60e1108de65f06f6bd8f413486afcac394750d2298abe81",
+}
+
+
+@pytest.mark.parametrize(
+    "word,d",
+    [("x1 x2^2 x1^-1 x2^-1 x1^-1", 2), (json.dumps(EMBED_D3_WORD), 3), (json.dumps(EMBED_D4_WORD), 4)],
+)
+def test_embed_output_is_pinned(capsys, word, d):
+    code, out, _ = run(capsys, "embed", word, "--r", "2", "--d", str(d))
+    assert code == 0
+    if d == 4:
+        assert hashlib.sha256(out.encode()).hexdigest() == EMBED_OUTPUT[d]
+    else:
+        assert out == json.dumps(EMBED_OUTPUT[d]) + "\n"
 
 
 def test_parse_error_exit_code(capsys):

@@ -7,11 +7,13 @@ from collections import deque
 
 import pytest
 
-from magnuskit import magnus
+from magnuskit import magnus, wreath
 from magnuskit.config import DEFAULT
 from magnuskit.errors import BeyondCapError
-from magnuskit.groups import ZrHandle, ball_layers, edge_traversal_counts
+from magnuskit.fox import projected_derivatives
+from magnuskit.groups import FreeHandle, HeisenbergHandle, ZrHandle, ball_layers, edge_traversal_counts
 from magnuskit.magnus import (
+    SolvableElement,
     bilipschitz_check,
     divergence_of,
     geodesic_length,
@@ -21,8 +23,8 @@ from magnuskit.magnus import (
     solvable_eq,
     solvable_group,
 )
-from magnuskit.wreath import WreathGroup, w_length, w_multiply, wreath_element
-from magnuskit.words import FreeWord, gen, nested_commutator_sample, random_word
+from magnuskit.wreath import FormKey, WreathGroup, element_to_json, w_length, w_multiply, wreath_element
+from magnuskit.words import FreeWord, commutator, gen, nested_commutator_sample, random_word
 
 Z2 = ZrHandle(2)
 S22 = solvable_group(2, 2)
@@ -81,6 +83,134 @@ def test_embed_is_homomorphism_random():
             a, b = S.from_word(u), S.from_word(v)
             assert S.multiply(a, b).form.key() == magnus_embed(u * v, S.base, S.lamp).key()
             assert S.invert(a).form.key() == magnus_embed(u.inverse(), S.base, S.lamp).key()
+
+
+def _fox_reference(w, Q):
+    """The image of w read off its projected Fox derivatives, walked
+    through Q's own products: the definition of the embedding."""
+    ders, endpoint = projected_derivatives(w, Q)
+    cells = {}
+    for i, der in enumerate(ders):
+        for elem, coeff in der.terms():
+            k = Q.key(elem)
+            if k not in cells:
+                cells[k] = (elem, [0] * w.rank)
+            cells[k][1][i] = coeff
+    return wreath_element(ZrHandle(w.rank), Q, [(e, tuple(v)) for e, v in cells.values()], endpoint)
+
+
+def _oracle_words(r, rng, count):
+    """Words whose prefix classes repeat and whose cells cancel to zero:
+    conjugated commutators, nested commutators and products w.c.  A
+    nested commutator z is trivial in S_{r,2}, so z.z[0] steps out of the
+    identity again along the edge z[0] took from it: that cell is entered
+    at one prefix and changed at another in the same class."""
+    words = []
+    while len(words) < count:
+        g = random_word(r, rng.randint(0, 6), rng)
+        c = commutator(random_word(r, rng.randint(1, 3), rng), random_word(r, rng.randint(1, 3), rng))
+        z = nested_commutator_sample(r, 2, rng, base_length=3)
+        if not z.letters:
+            continue
+        words.append(g * c * g.inverse())
+        words.append(g * z * FreeWord(r, z.letters[:1]) * g.inverse())
+        words.append(random_word(r, rng.randint(0, 12), rng) * c)
+        words.append(g * c * g.inverse() * c * random_word(r, rng.randint(0, 4), rng))
+    return words
+
+
+@pytest.mark.parametrize("r,d", itertools.product((2, 3), (2, 3, 4)))
+def test_embed_matches_the_fox_calculus_reference(r, d):
+    S = solvable_group(r, d)
+    for w in _oracle_words(r, random.Random(60 + 10 * r + d), 48):
+        form = magnus_embed(w, S.base, S.lamp)
+        ref = _fox_reference(w, S.base)
+        assert form.key() == ref.key()
+        assert element_to_json(form) == element_to_json(ref)
+        assert list(form.f) == list(ref.f)  # the cell order products and conjugators iterate in
+
+
+@pytest.mark.parametrize("Q", [HeisenbergHandle(), FreeHandle(2)], ids=["heisenberg", "free"])
+def test_embed_over_other_quotients_matches_the_fox_calculus_reference(Q):
+    for w in _oracle_words(2, random.Random(62), 24):
+        form, ref = magnus_embed(w, Q), _fox_reference(w, Q)
+        assert form.key() == ref.key() and list(form.f) == list(ref.f)
+
+
+def _nested_elements(form):
+    """The positions and endpoints of a form and of every form below it,
+    each object once."""
+    seen, todo = {}, [form]
+    while todo:
+        g = todo.pop()
+        for q in [q for q, _ in g.f.values()] + [g.b]:
+            if isinstance(q, SolvableElement) and id(q) not in seen:
+                seen[id(q)] = q
+                todo.append(q.form)
+    return seen
+
+
+def _product_chain(w, S):
+    """The prefixes of w in S, each the product of the one before and a
+    generator or its inverse."""
+    steps = {i: g for i, (_, g) in enumerate(S.generators(), 1)}
+    chain = [S.identity]
+    for let in w.letters:
+        chain.append(S.multiply(chain[-1], steps[let] if let > 0 else S.invert(steps[-let])))
+    return chain
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_every_prefix_snapshot_is_the_form_of_its_word(d):
+    S = solvable_group(2, d)
+    forms = []
+    levels = set()
+    for w in _oracle_words(2, random.Random(70 + d), 12):
+        form = S.from_word(w).form
+        forms.append(form)
+        chains = {}
+        for q in _nested_elements(form).values():
+            H, g = q.group, q.form
+            forms.append(g)
+            levels.add(H.d)
+            assert all(H.base.key(p) == k for k, (p, _) in g.f.items())
+            rebuilt = FormKey(H.base.key(g.b), frozenset((k, H.lamp.key(v)) for k, (_, v) in g.f.items()))
+            assert g.key() == rebuilt == magnus_embed(q.word, H.base, H.lamp).key()
+            # every position is a prefix of w, with the cells, representatives
+            # and cell order of the prefix's product form
+            if H.d not in chains:
+                chains[H.d] = _product_chain(w, H)
+            prod = chains[H.d][len(q.word)].form
+            assert q.word.letters == w.letters[: len(q.word)]
+            assert element_to_json(g) == element_to_json(prod) and list(g.f) == list(prod.f)
+    assert levels == set(range(2, d))
+    # a snapshot owns its cell map: one aliasing the walk's running map
+    # would share it with every other prefix
+    assert len({id(g.f) for g in forms}) == len(forms)
+
+
+def test_depth4_form_makes_no_products(monkeypatch):
+    # the walk snapshots each prefix; none is composed by w_multiply
+    S4 = solvable_group(2, 4)
+    for _, g in S4.generators():
+        g.form
+    calls = []
+    product = wreath.w_multiply
+
+    def counting(*args):
+        calls.append(1)
+        return product(*args)
+
+    monkeypatch.setattr(wreath, "w_multiply", counting)
+    monkeypatch.setattr(magnus, "w_multiply", counting)
+    rng = random.Random(61)
+    letters = [1]
+    while len(letters) < 64:
+        let = rng.choice((1, 2, -1, -2))
+        if let != -letters[-1]:
+            letters.append(let)
+    assert len(S4.from_word(FreeWord(2, letters)).form.key()[1]) > 0
+    assert calls == []
 
 
 def test_solvable_eq_agrees_with_quotient_kernel():
