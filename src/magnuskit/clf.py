@@ -72,16 +72,15 @@ def rows_to_csv(rows) -> str:
 # -- cyclic subgroup distortion ------------------------------------------------
 
 
-def cyclic_distortion(B: GroupHandle, x, n: int, m_cap: Optional[int] = None) -> int:
+def cyclic_distortion(B: GroupHandle, x, n: int) -> int:
     """delta_<x>(n) = max { m : |x^m| <= n }, scanned over 1 <= m <= m_cap.
 
-    The cap defaults to 2n+2 (enough wherever cyclic subgroups are at most
+    The cap is 2n+2 (enough wherever cyclic subgroups are at most
     2-distorted) except for the Heisenberg group, whose central elements
     need a quadratic window.  A length beyond the config's exact range
     raises BeyondCapError: it says nothing about |x^m| <= n.
     """
-    if m_cap is None:
-        m_cap = 2 * (n + 1) ** 2 if B.kind == "heisenberg" else 2 * n + 2
+    m_cap = 2 * (n + 1) ** 2 if B.kind == "heisenberg" else 2 * n + 2
     e = B.identity
     best = 0
     acc = e
@@ -264,22 +263,20 @@ def central_family_min_conjugator(
     spec: FamilySpec,
     n: int,
     config: RunConfig = DEFAULT,
-    power_window: Optional[int] = None,
 ) -> MinScanResult:
     """Minimal verified conjugator length (by value) for the central
     family at n, bound 4*delta, measured in floor order (_min_conjugator).
 
-    Candidates are the powers of x within the window; the scan records
-    whether every base part that admits a conjugator is a power of x (the
-    structural step that justifies the candidate set).  The default window
+    Candidates are the powers x^k with |k| <= delta + n + 2; the scan
+    records whether every base part that admits a conjugator is a power of
+    x (the structural step that justifies the candidate set).  The window
     is wide enough that base parts beyond it force strictly larger lamp
     supports, hence longer witnesses.
     """
     inst = central_family(spec, n, config)
     B = spec.B
-    if power_window is None:
-        power_window = inst.delta + n + 2
-    powers = (B.power(spec.x, k) for k in range(-power_window, power_window + 1))
+    window = inst.delta + n + 2
+    powers = (B.power(spec.x, k) for k in range(-window, window + 1))
     bases = sorted(powers, key=B.key)
     min_len, measured, count = _min_conjugator(inst, bases, lambda m: m.value, config)
     offfamily_clean = _offfamily_clean(inst, spec.x)
@@ -296,16 +293,17 @@ def central_family_min_conjugator(
 def z2_triangle_family(spec: FamilySpec, n: int, config: RunConfig = DEFAULT) -> FamilyInstance:
     """The triangle conjugate pair at parameter n over a Z^2 inside B, with
     its witness (h, e) verified exactly and the size envelopes
-    4n+2 <= |u| <= 4n|x| + |y| + 2n + 1 (and the xy analogue for v) checked.
+    4n+2 <= |u| <= 4n|x| + |y| + 2n + 1 (and the xy analogue for v) checked
+    wherever the lengths are exact.
 
-    Supports have 2n+1 points, so the envelope check widens the exact
-    travel threshold accordingly.
+    Supports have 2n+1 points on a line, so past the config's exact travel
+    threshold the detour lower bound still certifies |u| and |v| for the
+    axis and diagonal pairs over Z^2; the caller's config is used as given.
     """
     spec.validate()
     A, B = spec.A, spec.B
     x, y, a = spec.x, spec.y, spec.lamp_value()
     e = B.identity
-    cfg = config.with_(travel_exact_max=max(config.travel_exact_max, 2 * n + 1))
 
     u = wreath_element(A, B, [(B.power(x, i), a) for i in range(-n, n + 1)], y)
     v = wreath_element(
@@ -327,8 +325,8 @@ def z2_triangle_family(spec: FamilySpec, n: int, config: RunConfig = DEFAULT) ->
     witness = wreath_element(A, B, pairs, e)
     _verify_witness(u, v, witness)
 
-    u_len = w_length(u, cfg)
-    v_len = w_length(v, cfg)
+    u_len = w_length(u, config)
+    v_len = w_length(v, config)
     lx = B.distance(e, x)
     ly = B.distance(e, y)
     lxy = B.distance(e, B.multiply(x, y))
@@ -390,22 +388,21 @@ def clf_scan(
     n_max: int,
     seed: int,
     config: RunConfig = DEFAULT,
-    u_steps: int = 3,
-    gamma_steps: int = 3,
 ) -> list[ScanRow]:
-    """Generate conjugate pairs (u, gamma^-1 u gamma), find a verified
-    conjugator for each, and compare its length against the closed-form
-    bound; rows record the comparison and assert measured <= bound.  A
-    negative n_max admits no pair (lengths are nonnegative), so it is
-    rejected instead of drawing forever."""
+    """Generate conjugate pairs (u, gamma^-1 u gamma), u and gamma products
+    of at most three generators, find a verified conjugator for each, and
+    compare its length against the closed-form bound; rows record the
+    comparison and assert measured <= bound.  A negative n_max admits no
+    pair (lengths are nonnegative), so it is rejected instead of drawing
+    forever."""
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     rng = random.Random(seed)
     rows = []
     produced = 0
     while produced < samples:
-        u = random_wreath_element(A, B, rng, rng.randint(0, u_steps))
-        gamma = random_wreath_element(A, B, rng, rng.randint(0, gamma_steps))
+        u = random_wreath_element(A, B, rng, rng.randint(0, 3))
+        gamma = random_wreath_element(A, B, rng, rng.randint(0, 3))
         v = w_conjugate(u, gamma)
         lu, lv = w_length(u, config), w_length(v, config)
         if not (lu.exact and lv.exact):

@@ -60,8 +60,6 @@ def _load_config(args) -> RunConfig:
     cfg = RunConfig(**base) if base else DEFAULT
     if args.travel_exact_max is not None:
         cfg = cfg.with_(travel_exact_max=args.travel_exact_max)
-    if getattr(args, "seed", None) is not None:
-        cfg = cfg.with_(seed=args.seed)
     return cfg
 
 
@@ -157,7 +155,7 @@ def cmd_distortion(args, cfg):
     B = _parse_group(args.group, cfg)
     rank = len(B.generators())
     x = B.from_word(_parse_word(args.x, rank))
-    rows = distortion_scan(B, x, args.n_max, seed=cfg.seed)
+    rows = distortion_scan(B, x, args.n_max, seed=args.seed)
     _emit_rows(rows, args.format)
     return 0
 
@@ -183,7 +181,7 @@ def cmd_family(args, cfg):
                 bound=scan.bound,
                 exact=bool(scan.min_length and scan.min_length.exact),
                 witness_len=measured,
-                seed=cfg.seed,
+                seed=args.seed,
                 note=args.kind,
             )
         )

@@ -58,9 +58,6 @@ class GroupHandle:
             steps.append((label + "^-1", self.invert(g)))
         return steps
 
-    def equal(self, a, b) -> bool:
-        return self.key(a) == self.key(b)
-
     def conjugator(self, b, c):
         """Some z with b z = z c, or None: the identity for equal elements,
         None in an abelian group, a whole search in a finite one."""

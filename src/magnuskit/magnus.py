@@ -268,8 +268,6 @@ def _zero_one_distances(form: WreathElement, comps, verts, config: RunConfig):
         frontier, level, left = members[ci], 0, m - 1 - ci
         while left:
             level += 1
-            if level > config.walk_cost_cap:
-                raise BeyondCapError("support components not connected within the cost cap")
             reached = []
             for v in frontier:
                 for u in neighbours(v):
@@ -300,7 +298,10 @@ def offsupport_connection_cost(form: WreathElement, config: RunConfig = DEFAULT)
     component distances come from one exploration of the off-support
     region with the components contracted (_zero_one_distances); the
     ordering is solved by wreath.path_tsp: exact while the component count
-    stays within config.travel_exact_max, a flagged upper bound beyond it.
+    stays within config.travel_exact_max, and beyond it when the path found
+    meets its lower bound, the largest component distance, which also
+    bounds the cheapest connecting forest from below; a flagged upper
+    bound otherwise.
     """
     if not form.f:
         return Measure.exactly(0)
@@ -471,10 +472,10 @@ class SolvableGroup(GroupHandle):
 
 
 def solvable_group(r: int, d: int, config: RunConfig = DEFAULT):
-    """S_{r,d} under a run config, as a handle cached per config (the seed
-    left out: no group operation reads it); derived length one is the
+    """S_{r,d} under a run config, as one handle per (r, d, config), whether
+    the config is passed or defaulted; derived length one is the
     abelianisation Z^r."""
-    return _solvable_group(r, d, config.with_(seed=DEFAULT.seed))
+    return _solvable_group(r, d, config)
 
 
 @lru_cache(maxsize=None)

@@ -55,9 +55,6 @@ class RingElement:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def support_size(self) -> int:
-        return len(self._terms)
-
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other):

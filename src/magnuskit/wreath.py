@@ -11,9 +11,11 @@ position) the word length is
 
 where K(S, b) is the length of the shortest Cayley path in B from the
 identity to b visiting every point of S.  K is a path-TSP; path_tsp solves
-it exactly by a subset dynamic program up to a configured size and by
-nearest-neighbour + 2-opt (flagged as an upper bound) beyond it.  The
-free-solvable connection cost of the magnus module uses the same kernel.
+it exactly by a subset dynamic program up to a configured size.  Beyond
+it, a nearest-neighbour + 2-opt path is exact when it meets the sound
+detour lower bound and flagged as an upper bound otherwise, so each
+instance decides its own exactness.  The free-solvable connection cost of
+the magnus module uses the same kernel.
 
 Conjugacy is decided through coset projections: fix b and a right-coset
 representative t of <b>; the ordered product of the lamp values of f along
@@ -294,7 +296,8 @@ def w_power_membership(x: WreathElement, b: WreathElement) -> Optional[int]:
 def travel_cost(B: GroupHandle, points, b, config: RunConfig = DEFAULT) -> Measure:
     """Length of the shortest Cayley path in B from the identity to b
     visiting every given point: path_tsp over the points, exact while
-    their count stays within config.travel_exact_max.
+    their count stays within config.travel_exact_max or when the path
+    found meets path_tsp's lower bound.
     """
     e = B.identity
     ekey, bkey = B.key(e), B.key(b)
@@ -320,13 +323,15 @@ def travel_cost(B: GroupHandle, points, b, config: RunConfig = DEFAULT) -> Measu
 
 def path_tsp(d0, D, dend, config: RunConfig = DEFAULT) -> Measure:
     """Cost of the shortest path through n >= 1 points: a leg d0[i] into
-    the first point, legs D[i][j] (symmetric) between points and a leg
-    dend[j] out of the last; all-zero legs leave that endpoint free.
+    the first point, legs D[i][j] (symmetric, obeying the triangle
+    inequality) between points and a leg dend[j] out of the last; all-zero
+    legs leave that endpoint free.
 
     Exact (subset dynamic program) while n stays within
-    config.travel_exact_max; beyond that the value is a nearest-neighbour +
-    2-opt upper bound and the lower field is the longest forced detour
-    through one point or one pair of points.
+    config.travel_exact_max.  Beyond that the value is the cost of a
+    nearest-neighbour + 2-opt path, and the lower field is the longest
+    forced detour through one point or one pair of points; a path that
+    meets this sound lower bound is optimal, so the value is then exact.
     """
     n = len(d0)
     if n <= config.travel_exact_max:
@@ -335,7 +340,8 @@ def path_tsp(d0, D, dend, config: RunConfig = DEFAULT) -> Measure:
     for i in range(n):
         for j in range(i + 1, n):
             lower = max(lower, D[i][j] + min(d0[i] + dend[j], d0[j] + dend[i]))
-    return Measure(_path_tsp_heuristic(n, d0, D, dend), False, lower)
+    value = _path_tsp_heuristic(n, d0, D, dend)
+    return Measure(value, value == lower, lower)
 
 
 def _path_tsp_exact(n, d0, D, dend) -> int:

@@ -26,6 +26,7 @@ from magnuskit.wreath import (
     w_length,
     w_length_floor,
     w_multiply,
+    w_power,
     wreath_element,
 )
 from magnuskit.words import FreeWord
@@ -64,14 +65,17 @@ def test_distortion_heisenberg_central():
 
 
 def test_distortion_propagates_beyond_cap():
-    # |x^m| = 2m for x = (1 at 0, shift 1); a length past the exact travel
-    # threshold is no evidence that x^m is longer than n, so it propagates
-    # instead of reading delta(12) = 4 where the true value is 6
-    x = wreath_element(Z1, Z1, [((0,), (1,))], (1,))
-    assert cyclic_distortion(WreathGroup(Z1, Z1), x, 3) == 1
-    capped = WreathGroup(Z1, Z1, DEFAULT.with_(travel_exact_max=3))
+    # x = (lamps at (0,0) and (0,1), shift (1,0)) has |x| = 5, |x^2| = 8
+    # and |x^3| = 13; under travel_exact_max = 3 the six points of x^3 get
+    # an uncertified length (13, detour bound 11), which is no evidence
+    # that x^3 is longer than n, so it propagates instead of reading
+    # delta(13) = 2 where the true value is 3
+    x = wreath_element(Z1, Z2, [((0, 0), (1,)), ((0, 1), (1,))], (1, 0))
+    G = WreathGroup(Z1, Z2)
+    assert [G.distance(G.identity, w_power(x, m)) for m in (1, 2, 3, 4)] == [5, 8, 13, 16]
+    capped = WreathGroup(Z1, Z2, DEFAULT.with_(travel_exact_max=3))
     with pytest.raises(BeyondCapError):
-        cyclic_distortion(capped, x, 12)
+        cyclic_distortion(capped, x, 13)
 
 
 def test_central_family_instance():
@@ -162,6 +166,16 @@ def test_length_floor_is_sound_in_both_travel_regimes(base):
             regimes.add(m.exact)
             assert w_length_floor(w) <= m.lower
     assert regimes == {True, False}
+
+
+@pytest.mark.parametrize("x,y", [((1, 0), (0, 1)), ((0, -1), (1, 0)), ((1, 1), (1, -1)), ((1, 0), (1, 1))])
+def test_triangle_lengths_are_certified_past_the_dp(x, y):
+    # 2n + 1 points on a line: the detour bound certifies |u| and |v| past
+    # the subset DP, so the envelope checks run without widening the config
+    spec = FamilySpec(Z1, Z2, x, y, "z2")
+    for n in range(1, 15):
+        inst = z2_triangle_family(spec, n)
+        assert inst.u_len.exact and inst.v_len.exact
 
 
 def _exhaustive_min(inst, bases, key):

@@ -136,9 +136,10 @@ def test_wreath_conj_inert_pair_over_free_solvable_base(capsys, monkeypatch):
 def test_config_caps_reach_free_solvable_base(capsys, tmp_path):
     # v is u conjugated by the lamp (1 at q, e), q = x1^2 [x1,x2] x1^-2 a
     # loop away from the identity: the printed witness length walks to q,
-    # and with no off-support edges allowed |q| cannot be computed
+    # and with one Cayley vertex expanded off the support |q| cannot be
+    # computed
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"walk_cost_cap": 0}))
+    cfgfile.write_text(json.dumps({"walk_node_cap": 1}))
     q = {"word": [1, 1, 1, 2, -1, -2, -1, -1]}
     lamps = [{"at": {"word": []}, "val": [1]}, {"at": q, "val": [1]}]
     u = {"f": lamps, "b": {"word": [1]}}
@@ -217,9 +218,9 @@ def test_family_command_over_the_heisenberg_centre(capsys):
 
 
 FAMILY_ROWS = {
-    ("z2", "x1", "x2"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,0,34,1 4,52,20,0,52,1 "
+    ("z2", "x1", "x2"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,1,34,1 4,52,20,0,52,1 "
     "5,72,30,0,72,1 6,100,42,0,100,1",
-    ("z2", "x2^-1", "x1"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,0,34,1 4,52,20,0,52,1 "
+    ("z2", "x2^-1", "x1"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,1,34,1 4,52,20,0,52,1 "
     "5,76,30,0,76,1 6,102,42,0,102,1",
     ("central", "x1", "x2"): "1,5,4,1,5,1 2,10,8,1,10,1 3,15,12,1,15,1 4,20,16,1,20,1 5,25,20,1,25,1",
 }
@@ -332,15 +333,23 @@ def test_parse_error_exit_code(capsys):
 
 
 def test_beyond_cap_exit_code(capsys, tmp_path):
-    # two flow-support components a distance above walk_cost_cap apart
+    # two flow-support components 3 apart: joining them expands 9 Cayley
+    # vertices, one more than walk_node_cap allows
     word = "x1 x2 x1^-1 x2^-1 x1^3 x2 x1 x2^-1 x1^-1 x1^-3"
     code, out, _ = run(capsys, "len", word, "--r", "2", "--d", "2")
     assert code == 0 and out.strip() == "12 exact"
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"walk_cost_cap": 1}))
+    cfgfile.write_text(json.dumps({"walk_node_cap": 8}))
     code, _, err = run(capsys, "--config", str(cfgfile), "len", word, "--r", "2", "--d", "2")
     assert code == 3
     assert "beyond-cap" in err
+
+
+def test_len_of_a_far_loop(capsys):
+    # a commutator loop 70 steps out: the search for the identity's
+    # component reads a radius-70 region, well inside the node cap
+    code, out, _ = run(capsys, "len", "x1^70 x2 x1 x2^-1 x1^-1 x1^-70", "--r", "2", "--d", "2")
+    assert code == 0 and out.strip() == "144 exact"
 
 
 def test_bad_json_exit_code(capsys):
@@ -355,7 +364,7 @@ def test_conj_abelian_level(capsys):
 
 def test_config_file_and_json_format(capsys, tmp_path):
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"travel_exact_max": 11, "seed": 3}))
+    cfgfile.write_text(json.dumps({"travel_exact_max": 11}))
     code, out, _ = run(
         capsys,
         "--config",
@@ -377,7 +386,9 @@ def test_config_file_and_json_format(capsys, tmp_path):
     assert rows[0]["n"] == 1 and rows[0]["measured"] == 1
 
 
-@pytest.mark.parametrize("key", ["no_such_option", "jobs", "z_scan_slack", "bfs_cap"])
+@pytest.mark.parametrize(
+    "key", ["no_such_option", "jobs", "z_scan_slack", "bfs_cap", "walk_cost_cap", "seed"]
+)
 def test_bad_config_key_is_parse_error(capsys, tmp_path, key):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({key: 1}))

@@ -8,7 +8,7 @@ from collections import deque
 import pytest
 
 from magnuskit import magnus, wreath
-from magnuskit.config import DEFAULT
+from magnuskit.config import DEFAULT, RunConfig
 from magnuskit.errors import BeyondCapError
 from magnuskit.fox import projected_derivatives
 from magnuskit.groups import FreeHandle, HeisenbergHandle, ZrHandle, ball_layers, edge_traversal_counts
@@ -427,14 +427,19 @@ def test_connection_cost_multiplies_each_vertex_step_once(monkeypatch):
     assert seen and len(seen) == len(set(seen))
 
 
+def test_one_handle_per_config():
+    # a defaulted and a passed config share one handle, so wreath products
+    # over it take _check_groups' identity fast path
+    assert solvable_group(2, 2) is solvable_group(2, 2, DEFAULT) is solvable_group(2, 2, RunConfig())
+    other = solvable_group(2, 2, DEFAULT.with_(walk_node_cap=10))
+    assert other is not solvable_group(2, 2) and other.config.walk_node_cap == 10
+
+
 def test_connection_cost_caps_raise():
     form = S22.from_word(_loop_word(random.Random(9), 9)).form
-    comps, verts = magnus._support_components(form)
-    top = max(map(max, magnus._zero_one_distances(form, comps, verts, DEFAULT)))
-    assert offsupport_connection_cost(form, DEFAULT.with_(walk_cost_cap=top)).exact
-    for config in (DEFAULT.with_(walk_node_cap=10), DEFAULT.with_(walk_cost_cap=top - 1)):
-        with pytest.raises(BeyondCapError):
-            offsupport_connection_cost(form, config)
+    assert offsupport_connection_cost(form).exact
+    with pytest.raises(BeyondCapError):
+        offsupport_connection_cost(form, DEFAULT.with_(walk_node_cap=10))
 
 
 @pytest.mark.parametrize("components, cap", [(3, 2), (6, 4)])

@@ -172,6 +172,48 @@ def test_path_tsp_kernel_against_permutations():
                 assert _path_tsp_exact(n, d0, D, dend) == brute
 
 
+def _metric_path_instance(rng):
+    """A path-TSP instance whose legs obey the triangle inequality: L1
+    distances of points in a thin box of Z^2 (often near a line), or the
+    shortest-path closure of random edge weights; start and end are free
+    in about a third of them."""
+    n = rng.randint(1, 9)
+    if rng.random() < 0.5:
+        w = rng.choice([0, 1, 3])
+        pts = [(rng.randint(-6, 6), rng.randint(-w, w)) for _ in range(n + 2)]
+        d = [[abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in pts] for p in pts]
+    else:
+        d = [[0] * (n + 2) for _ in range(n + 2)]
+        for i, j in itertools.combinations(range(n + 2), 2):
+            d[i][j] = d[j][i] = rng.randint(1, 9)
+        for k, i, j in itertools.product(range(n + 2), repeat=3):
+            d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    free = rng.random() < 0.3
+    d0 = [0] * n if free else d[0][1 : n + 1]
+    dend = [0] * n if free else d[n + 1][1 : n + 1]
+    return n, d0, [row[1 : n + 1] for row in d[1 : n + 1]], dend
+
+
+def test_path_tsp_certifies_only_optimal_values():
+    # past the subset DP a value is exact only when it meets the detour
+    # bound, so every certified value is the optimum and the bound is sound
+    from magnuskit.wreath import _path_tsp_exact, path_tsp
+
+    rng = random.Random(17)
+    cfg = DEFAULT.with_(travel_exact_max=3)
+    beyond = set()
+    for _ in range(300):
+        n, d0, D, dend = _metric_path_instance(rng)
+        got = path_tsp(d0, D, dend, cfg)
+        best = _path_tsp_exact(n, d0, D, dend)
+        assert got.lower <= best <= got.value
+        if got.exact:
+            assert got.value == best
+        if n > cfg.travel_exact_max:
+            beyond.add(got.exact)
+    assert beyond == {True, False}
+
+
 def test_travel_cost_heisenberg_base():
     # non-abelian base distances feed the same subset DP
     from magnuskit.groups import HeisenbergHandle
@@ -607,9 +649,13 @@ def test_wreath_handle_order():
 
 
 def test_wreath_handle_distance_beyond_cap():
-    G = WreathGroup(Z, Z)
-    pts = [((i,), (1,)) for i in range(-6, 6)]
-    u = wreath_element(Z, Z, pts, (0,))
+    # six lamps on two rows: past travel_exact_max = 3 the 2-opt path (13)
+    # misses the detour bound (11), so the length is uncertified and raises
+    x = wreath_element(Z, Z2, [((0, 0), (1,)), ((0, 1), (1,))], (1, 0))
+    u = w_power(x, 3)
+    assert w_length(u) == Measure(13, True, 13)
+    G = WreathGroup(Z, Z2, DEFAULT.with_(travel_exact_max=3))
+    assert w_length(u, G.config) == Measure(13, False, 11)
     with pytest.raises(BeyondCapError):
         G.distance(G.identity, u)
 
