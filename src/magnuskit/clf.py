@@ -1,6 +1,10 @@
 """Experiment harness: distortion scans, conjugacy-length scans, and the
 two explicit conjugator-length lower-bound families.
 
+Distortion delta_<x>(n) = max { m : |x^m| <= n } is read off the exact
+lengths of x, ..., x^W, W = B.distortion_window(x, n) the cap the group
+derives from a lower bound on |x^m|; a finite-order x is rejected.
+
 The two families pin down lower bounds for conjugator length in A wr B:
 
 * central family - for x of infinite order in the centre of B and some y
@@ -23,6 +27,7 @@ Scans are seed-deterministic; CSV rows carry the seed.
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .config import DEFAULT, RunConfig
@@ -72,51 +77,38 @@ def rows_to_csv(rows) -> str:
 # -- cyclic subgroup distortion ------------------------------------------------
 
 
-def cyclic_distortion(B: GroupHandle, x, n: int) -> int:
-    """delta_<x>(n) = max { m : |x^m| <= n }, scanned over 1 <= m <= m_cap.
-
-    The cap is 2n+2 (enough wherever cyclic subgroups are at most
-    2-distorted) except for the Heisenberg group, whose central elements
-    need a quadratic window.  A length beyond the config's exact range
-    raises BeyondCapError: it says nothing about |x^m| <= n.
-    """
-    m_cap = 2 * (n + 1) ** 2 if B.kind == "heisenberg" else 2 * n + 2
-    e = B.identity
-    best = 0
-    acc = e
-    for m in range(1, m_cap + 1):
+def _distortions(B: GroupHandle, x, n_max: int) -> list:
+    """[delta(0), ..., delta(n_max)] from one pass over x, ..., x^W, W =
+    B.distortion_window(x, n_max): every m > W has |x^m| > n_max, so no
+    later power enters a row.  A finite-order x has unbounded delta."""
+    if B.order(x) is not None:
+        raise ValueError("x has finite order: its powers stay in a ball, so delta is unbounded")
+    last = [0] * (max(n_max, 0) + 1)  # last[L]: the largest m with |x^m| = L
+    e = acc = B.identity
+    for m in range(1, B.distortion_window(x, n_max) + 1):
         acc = B.multiply(acc, x)
-        if B.distance(e, acc) <= n:
-            best = m
-    return best
+        length = B.distance(e, acc)
+        if length <= n_max:
+            last[length] = m
+    return list(accumulate(last, max))
+
+
+def cyclic_distortion(B: GroupHandle, x, n: int) -> int:
+    """delta_<x>(n) = max { m : |x^m| <= n }, exactly, over the window of
+    powers that B derives for x.  A length beyond the config's exact range
+    raises BeyondCapError: it says nothing about |x^m| <= n."""
+    return _distortions(B, x, n)[-1]
 
 
 def distortion_scan(B: GroupHandle, x, n_max: int, seed: int = 0) -> list[ScanRow]:
-    """Rows (n, delta(n), 2n, ...) for n = 1..n_max; witness_len records the
-    realizing power.
-
-    Over Z^r and the free solvable groups, cyclic subgroups are at most
-    2-distorted, so the scan asserts measured <= 2n there.
-    """
-    rows = []
-    for n in range(1, n_max + 1):
-        delta = cyclic_distortion(B, x, n)
-        if B.kind in ("Zr", "free_solvable") and delta > 2 * n:
-            raise InvariantViolation(
-                f"cyclic distortion {delta} exceeds 2n at n={n} in {B.kind}"
-            )
-        rows.append(
-            ScanRow(
-                n=n,
-                measured=delta,
-                bound=2 * n,
-                exact=True,
-                witness_len=delta,
-                seed=seed,
-                note="distortion",
-            )
-        )
-    return rows
+    """Rows (n, delta(n), 2n, ...) for n = 1..n_max, all read from one
+    pass up to B's window at n_max; witness_len records the realizing
+    power."""
+    deltas = _distortions(B, x, n_max)
+    return [
+        ScanRow(n, deltas[n], 2 * n, True, deltas[n], seed, "distortion")
+        for n in range(1, n_max + 1)
+    ]
 
 
 # -- family specifications -------------------------------------------------

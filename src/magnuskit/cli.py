@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (and "equal"/"conjugate" for eq/conj), 1 negative
 decision, 2 parse error, 3 beyond-cap, 4 invariant violation.  Sampling
-commands require --seed.  Flags override an optional JSON/TOML config file;
-the only environment variable honoured is NO_COLOR.
+commands require --seed.  Run caps come from an optional JSON/TOML config
+file; the only environment variable honoured is NO_COLOR.
 """
 
 import argparse
@@ -27,7 +27,7 @@ from .clf import (
     z2_min_conjugator,
 )
 from .ring import to_json as ring_to_json
-from .wreath import conjugacy_test, element_from_json, element_to_json, w_length
+from .wreath import ConjugacyResult, conjugacy_test, element_from_json, element_to_json, w_length
 from .words import FreeWord, from_json as word_from_json, parse_text, to_json as word_to_json
 
 
@@ -57,10 +57,7 @@ def _load_config(args) -> RunConfig:
                 base = tomllib.load(fh)
             else:
                 base = json.load(fh)
-    cfg = RunConfig(**base) if base else DEFAULT
-    if args.travel_exact_max is not None:
-        cfg = cfg.with_(travel_exact_max=args.travel_exact_max)
-    return cfg
+    return RunConfig(**base) if base else DEFAULT
 
 
 def _emit_rows(rows, fmt):
@@ -113,22 +110,19 @@ def cmd_len(args, cfg):
     return 0
 
 
-def cmd_conj(args, cfg):
-    if args.d == 1:
-        G, u, v = _solvable_pair(args, cfg)
-        conj = G.key(u) == G.key(v)  # abelian: conjugate iff equal
-        print(json.dumps({"conjugate": conj, "complete": True, "case": "abelian", "witness": None}))
-        return 0 if conj else 1
-    G, u, v = _solvable_pair(args, cfg)
-    res = solvable_conjugacy_test(u, v)
-    payload = {
-        "conjugate": res.conjugate,
-        "complete": res.complete,
-        "case": res.case,
-        "witness": element_to_json(res.witness) if res.witness else None,
-    }
-    print(json.dumps(payload))
+def _print_decision(res: ConjugacyResult, **extra) -> int:
+    """Print a conjugacy decision as JSON; the exit code is 0 or 1."""
+    witness = element_to_json(res.witness) if res.witness else None
+    print(json.dumps({"conjugate": res.conjugate, "complete": res.complete,
+                      "case": res.case, "witness": witness, **extra}))
     return 0 if res.conjugate else 1
+
+
+def cmd_conj(args, cfg):
+    G, u, v = _solvable_pair(args, cfg)
+    if args.d == 1:  # abelian: conjugate iff equal
+        return _print_decision(ConjugacyResult(G.key(u) == G.key(v), None, True, "abelian"))
+    return _print_decision(solvable_conjugacy_test(u, v))
 
 
 def cmd_wreath_conj(args, cfg):
@@ -137,18 +131,10 @@ def cmd_wreath_conj(args, cfg):
     u = element_from_json(json.loads(args.u), A, B)
     v = element_from_json(json.loads(args.v), A, B)
     res = conjugacy_test(u, v)
-    payload = {
-        "conjugate": res.conjugate,
-        "complete": res.complete,
-        "case": res.case,
-        "witness": element_to_json(res.witness) if res.witness else None,
-    }
-    if res.witness is not None:
-        m = w_length(res.witness, cfg)
-        payload["witness_length"] = m.value
-        payload["witness_length_exact"] = m.exact
-    print(json.dumps(payload))
-    return 0 if res.conjugate else 1
+    if res.witness is None:
+        return _print_decision(res)
+    m = w_length(res.witness, cfg)
+    return _print_decision(res, witness_length=m.value, witness_length_exact=m.exact)
 
 
 def cmd_distortion(args, cfg):
@@ -228,7 +214,6 @@ def build_parser():
     top = argparse.ArgumentParser(prog="magnuskit", description=__doc__)
     top.add_argument("--config", help="JSON (or TOML on 3.11+) config file")
     top.add_argument("--format", default="csv", choices=("csv", "json"))
-    top.add_argument("--travel-exact-max", type=int, dest="travel_exact_max")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fox", help="(projected) derivative of a word")

@@ -2,8 +2,9 @@
 
 A handle supplies the identity, labelled generators, total multiply/invert,
 a canonical key (equal keys iff equal elements), an exact left-invariant
-word metric, order and power queries, and a conjugacy decision with a
-conjugator.  Shipped handles:
+word metric, order and power queries, a conjugacy decision with a
+conjugator, and for an infinite group a window of powers x^m that can lie
+within a given radius.  Shipped handles:
 
     ZrHandle        Z^r with the L1 metric (closed form)
     ZNHandle        Z/N with the cyclic metric (closed form)
@@ -35,12 +36,23 @@ class GroupHandle:
     is_finite = False
 
     # -- required operations -------------------------------------------
-    # identity (attribute), generators(), multiply, invert, key,
-    # from_word, distance, order, power_membership, conjugator,
-    # to_json, from_json, describe
+    # identity (attribute), generators(), multiply, invert, key, distance,
+    # order, power_membership, conjugator, to_json, from_json, describe;
+    # infinite groups add distortion_window(x, n): a W with |x^m| > n for m > W
 
     def generators(self):
         raise NotImplementedError
+
+    def from_word(self, w: FreeWord):
+        """The product of the generators (or their inverses) a word spells."""
+        gens = [g for _, g in self.generators()]
+        if any(abs(let) > len(gens) for let in w.letters):
+            raise ValueError(f"word uses generators beyond the {len(gens)} available")
+        acc = self.identity
+        for let in w.letters:
+            g = gens[abs(let) - 1]
+            acc = self.multiply(acc, g if let > 0 else self.invert(g))
+        return acc
 
     def power(self, b, k: int):
         """b^k by iterated multiplication; handles override when closed forms exist."""
@@ -236,6 +248,9 @@ class ZrHandle(GroupHandle):
     def distance(self, a, b) -> int:
         return sum(abs(y - x) for x, y in zip(a, b))
 
+    def distortion_window(self, x, n: int) -> int:
+        return n // self.distance(self.identity, x)  # |x^m| = m |x|
+
     def order(self, a):
         return 1 if a == self.identity else None
 
@@ -290,11 +305,6 @@ class ZNHandle(GroupHandle):
 
     def key(self, a):
         return a % self.n
-
-    def from_word(self, w: FreeWord):
-        if any(abs(let) > 1 for let in w.letters):
-            raise ValueError("cyclic group words use the single generator x1")
-        return sum(1 if let > 0 else -1 for let in w.letters) % self.n
 
     def distance(self, a, b) -> int:
         d = (b - a) % self.n
@@ -361,16 +371,6 @@ class PermHandle(GroupHandle):
 
     def key(self, a):
         return tuple(a)
-
-    def from_word(self, w: FreeWord):
-        gens = [g for _, g in self.generators()]
-        if any(abs(let) > len(gens) for let in w.letters):
-            raise ValueError(f"word uses generators beyond the {len(gens)} available")
-        acc = self.identity
-        for let in w.letters:
-            g = gens[abs(let) - 1]
-            acc = self.multiply(acc, g if let > 0 else self.invert(g))
-        return acc
 
     def _distances(self):
         if self._dist is None:
@@ -453,14 +453,6 @@ class HeisenbergHandle(GroupHandle):
     def key(self, u):
         return tuple(u)
 
-    def from_word(self, w: FreeWord):
-        gens = [g for _, g in self.generators()]
-        acc = self.identity
-        for let in w.letters:
-            g = gens[abs(let) - 1]
-            acc = self.multiply(acc, g if let > 0 else self.invert(g))
-        return acc
-
     def norm(self, u) -> int:
         """Word length of u = (a, b, c), exactly.
 
@@ -482,6 +474,12 @@ class HeisenbergHandle(GroupHandle):
 
     def distance(self, a, b) -> int:
         return self.norm(self.multiply(self.invert(a), b))
+
+    def distortion_window(self, x, n: int) -> int:
+        """|x^m| >= m(|a| + |b|) for x = (a, b, c); a central x^m = (0, 0, mc)
+        has length <= n iff m|c| <= _sweep_max(0, 0, n - n % 2): exact."""
+        a, b, c = x
+        return n // (abs(a) + abs(b)) if a or b else _sweep_max(0, 0, n - n % 2) // abs(c)
 
     def order(self, a):
         return 1 if tuple(a) == self.identity else None
@@ -581,6 +579,9 @@ class FreeHandle(GroupHandle):
 
     def distance(self, a, b) -> int:
         return len(a.inverse() * b)
+
+    def distortion_window(self, x, n: int) -> int:
+        return n  # x^m reduces to at least m letters
 
     def order(self, a):
         return 1 if a.is_identity else None

@@ -405,6 +405,15 @@ class SolvableGroup(GroupHandle):
         # Free solvable groups are torsion-free.
         return 1 if a.is_identity else None
 
+    def distortion_window(self, x: SolvableElement, n: int) -> int:
+        """S_{r,d} -> S_{r,d-1} is 1-Lipschitz, so a base part b != e takes
+        the base's window; for b = e, x^m has form (m f, e) and length at
+        least m times f's total flow."""
+        f, b = x.form.f, x.form.b
+        if self.base.key(b) != self.base.key(self.base.identity):
+            return self.base.distortion_window(b, n)
+        return n // sum(abs(c) for _, vec in f.values() for c in vec)
+
     def power_membership(self, x: SolvableElement, b: SolvableElement):
         """The wreath recursion on the Magnus forms (the embedding is injective)."""
         return w_power_membership(x.form, b.form)

@@ -626,20 +626,18 @@ def conjugacy_test(u: WreathElement, v: WreathElement) -> ConjugacyResult:
     return ConjugacyResult(False, None, True, case if inert else "scan-exhausted")
 
 
-def upper_bound_formula(n: int, P: int, delta=None, order=None, clf_a=None) -> int:
+def upper_bound_formula(n: int, P: int, delta=None, order=None) -> int:
     """Closed-form conjugator-length bounds.
 
     Infinite base-part order: (n+1) * P * (2*delta(P) + 1), where delta is
     the distortion function of the cyclic subgroup generated by the base
-    part (identity by default).  Finite order N: P * (N+1) *
-    (2n + clf_a(n) + 1), where clf_a bounds conjugator length in the lamp
-    group (zero by default).
+    part (identity by default).  Finite order N: P * (N+1) * (2n + 1), the
+    lamp group's conjugator-length term taken as zero.
     """
     if order is None:
         d = P if delta is None else delta(P)
         return (n + 1) * P * (2 * d + 1)
-    c = 0 if clf_a is None else clf_a(n)
-    return P * (order + 1) * (2 * n + c + 1)
+    return P * (order + 1) * (2 * n + 1)
 
 
 # -- the wreath product as a group handle -------------------------------------
@@ -690,6 +688,21 @@ class WreathGroup(GroupHandle):
 
     def order(self, a):
         return w_order(a)
+
+    def distortion_window(self, x, n: int) -> int:
+        """An infinite-order base part b takes B's window (projecting is
+        1-Lipschitz).  If b has order N, x^(qN + r) has the lamp h(p)^q f_r(p)
+        at p, h(p) of infinite order in x^N = (h, e) and f_r the lamps of x^r,
+        so |x^(qN + r)| <= n forces |h(p)^q| <= n + max_r |f_r(p)|."""
+        N = self.base.order(x.b)
+        if N is None:
+            return self.base.distortion_window(x.b, n)
+        A, powers = self.lamp, [self.identity]
+        for _ in range(N):
+            powers.append(w_multiply(powers[-1], x))
+        p, hp = next((pos, val) for pos, val in powers.pop().f.values() if A.order(val) is None)
+        s = max(A.distance(A.identity, xr.lamp_at(p)) for xr in powers)
+        return N * (A.distortion_window(hp, n + s) + 1)
 
     def power_membership(self, x, b):
         return w_power_membership(x, b)

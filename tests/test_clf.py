@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from magnuskit import clf
+from magnuskit import clf, magnus
 from magnuskit.config import DEFAULT
 from magnuskit.errors import BeyondCapError
-from magnuskit.groups import FreeHandle, HeisenbergHandle, PermHandle, ZrHandle
+from magnuskit.groups import FreeHandle, HeisenbergHandle, PermHandle, ZNHandle, ZrHandle, ball
 from magnuskit.magnus import solvable_group
 from magnuskit.clf import (
     CSV_HEADER,
@@ -21,6 +21,7 @@ from magnuskit.clf import (
     z2_triangle_family,
 )
 from magnuskit.wreath import (
+    WreathElement,
     WreathGroup,
     conjugator_for_z,
     w_length,
@@ -29,7 +30,7 @@ from magnuskit.wreath import (
     w_power,
     wreath_element,
 )
-from magnuskit.words import FreeWord
+from magnuskit.words import FreeWord, random_word
 
 Z1 = ZrHandle(1)
 Z2 = ZrHandle(2)
@@ -76,6 +77,102 @@ def test_distortion_propagates_beyond_cap():
     capped = WreathGroup(Z1, Z2, DEFAULT.with_(travel_exact_max=3))
     with pytest.raises(BeyondCapError):
         cyclic_distortion(capped, x, 13)
+
+
+def _reference_deltas(B, x, n_max, cap, length=None):
+    """delta(0..n_max), each read from the lengths of x^m for m <= cap(n),
+    with no distortion window."""
+    length = length or (lambda g: B.distance(B.identity, g))
+    lengths, acc = [], B.identity
+    for _ in range(cap(n_max)):
+        acc = B.multiply(acc, x)
+        lengths.append(length(acc))
+    return [
+        max((m for m, l in enumerate(lengths[: cap(n)], 1) if l <= n), default=0)
+        for n in range(n_max + 1)
+    ]
+
+
+def _window_cases():
+    """(group, element, n_max, cap, length) over seeded elements; cap is twice
+    the old 2n + 2 (or 2(n + 1)^2 for Heisenberg) window."""
+    rng = random.Random(18)
+    linear, quadratic = (lambda n: 4 * n + 4), (lambda n: 4 * (n + 1) ** 2)
+    cases = [(Z2, v, 8, linear, None) for v in [(1, 0), (2, -1), (0, 3)]]
+    cases += [(Z2, (rng.randint(-3, 3), rng.randint(1, 3)), 8, linear, None) for _ in range(3)]
+    F = FreeHandle(2)
+    for _ in range(6):
+        core = random_word(2, rng.randint(1, 3), rng)
+        while not core.letters or core.letters[0] == -core.letters[-1]:
+            core = random_word(2, rng.randint(1, 3), rng)  # nontrivial, cyclically reduced
+        w = random_word(2, rng.randint(0, 2), rng)
+        cases.append((F, w * core * w.inverse(), 8, linear, None))
+    H = HeisenbergHandle()
+    heis = [(0, 0, 1), (0, 0, -2), (0, 0, 3), (1, 0, 3), (0, -1, 2), (1, 1, 0)]
+    heis += [(rng.randint(-2, 2), rng.randint(1, 2), rng.randint(-5, 5)) for _ in range(3)]
+    cases += [(H, h, 8, quadratic, None) for h in heis]
+    S = solvable_group(2, 2)
+    radius = {k: r for k, (_, r) in ball(S, 6).items()}
+    words = [(1, 2, -1, -2), (1,)] + [(a, b) for a in (1, -1, 2, -2) for b in (1, -1, 2, -2) if a != -b]
+    for letters in words:
+        cases.append((S, S.from_word(FreeWord(2, letters)), 6, linear, lambda g: radius.get(S.key(g), 7)))
+    W = WreathGroup(Z1, Z2)
+    lamps = [
+        ([((0, 0), (1,))], (1, 0)),
+        ([((0, 0), (2,))], (0, -2)),
+        ([((0, 0), (1,)), ((1, 1), (-1,))], (0, 0)),
+        ([], (1, 1)),
+    ]
+    cases += [(W, wreath_element(Z1, Z2, f, b), 8, linear, None) for f, b in lamps]
+    Z3 = ZNHandle(3)  # a finite base part: the window comes from a lamp of x^3
+    x3 = wreath_element(Z1, Z3, [(0, (1,)), (1, (-1,)), (2, (2,))], 1)
+    cases.append((WreathGroup(Z1, Z3), x3, 8, linear, None))
+    return cases
+
+
+def test_distortion_windows_match_an_unwindowed_reference():
+    for B, x, n_max, cap, length in _window_cases():
+        got = [cyclic_distortion(B, x, n) for n in range(n_max + 1)]
+        assert got == _reference_deltas(B, x, n_max, cap, length), (B, x)
+        assert [r.measured for r in distortion_scan(B, x, n_max)] == got[1:]
+
+
+def test_distortion_of_a_distorted_wreath_base_part():
+    # the centre of the Heisenberg group inside Z wr Heisenberg keeps its
+    # quadratic distortion; a 2n + 2 window read 82 at n = 40 (true 100)
+    G = WreathGroup(Z1, HeisenbergHandle())
+    x = WreathElement(Z1, G.base, {}, (0, 0, 1))
+    rows = distortion_scan(G, x, 60)
+    assert [r.measured for r in rows] == [(n // 2) ** 2 // 4 for n in range(1, 61)]
+    assert cyclic_distortion(G, x, 40) == 100
+
+
+def test_finite_order_has_no_distortion():
+    with pytest.raises(ValueError):
+        cyclic_distortion(ZNHandle(6), 1, 2)
+    with pytest.raises(ValueError):
+        distortion_scan(Z2, (0, 0), 3)
+
+
+def test_distortion_scan_measures_each_power_once(monkeypatch):
+    calls = []
+    norm = HeisenbergHandle.norm
+    monkeypatch.setattr(HeisenbergHandle, "norm", lambda self, u: calls.append(u) or norm(self, u))
+    rows = distortion_scan(HeisenbergHandle(), (0, 0, 1), 50)
+    assert rows[-1].measured == 156 and len(calls) <= 156
+    lengths = []
+    geodesic = magnus.geodesic_length
+    monkeypatch.setattr(magnus, "geodesic_length", lambda g, cfg: lengths.append(g) or geodesic(g, cfg))
+    S = solvable_group(2, 2)
+    rows = distortion_scan(S, S.from_word(FreeWord(2, (1, 2))), 6)
+    assert [r.measured for r in rows] == [0, 1, 1, 2, 2, 3] and len(lengths) <= 3
+
+
+def test_distortion_over_two_row_supports_stays_in_the_exact_range():
+    # x^6 has 12 lamps on two rows, beyond the exact travel range; the
+    # window at n = 2 stops at x^2, so no uncertified length is read
+    x = wreath_element(Z1, Z2, [((0, 0), (1,)), ((0, 1), (1,))], (1, 0))
+    assert cyclic_distortion(WreathGroup(Z1, Z2), x, 2) == 0
 
 
 def test_central_family_instance():

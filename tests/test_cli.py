@@ -181,6 +181,14 @@ def test_distortion_csv(capsys):
     assert lines[1].startswith("1,1,2,1,")
 
 
+def test_distortion_of_a_finite_order_element_is_a_parse_error(capsys):
+    # the powers of x1 in Z/6 never leave a ball, so delta is unbounded
+    code, out, err = run(
+        capsys, "distortion", "--group", '{"kind":"ZN","N":6}', "--x", "x1", "--seed", "1"
+    )
+    assert code == 2 and out == "" and "finite order" in err
+
+
 def test_family_command(capsys):
     code, out, _ = run(
         capsys,
