@@ -22,6 +22,10 @@ The two families pin down lower bounds for conjugator length in A wr B:
   least n^2 + n from linearly sized inputs; the same check confirms that
   no base part outside <y> admits a conjugator.
 
+Both scans build one conjugator per n: the base part b of u has infinite
+order, so the conjugator at b^(k+1) is u times the one at b^k, and each
+stepped witness is verified.
+
 Scans are seed-deterministic; CSV rows carry the seed.
 """
 
@@ -232,15 +236,31 @@ def _offfamily_clean(inst: FamilyInstance, g) -> bool:
     )
 
 
-def _min_conjugator(inst: FamilyInstance, bases, key, config: RunConfig):
-    """The length of the first verified conjugator (over bases, in order)
-    minimal under ``key``, or None; the lengths measured; the conjugator
-    count.  Witnesses are measured in (w_length_floor, index) order up to
-    the first floor strictly above the best key: key(m) >= m.lower >= floor,
-    so no unmeasured witness beats or ties the best, and the answer is a
-    measure-everything ``min``'s."""
-    found = (conjugator_for_z(inst.u, inst.v, z) for z in bases)
-    witnesses = [w for w in found if w is not None]
+def _min_conjugator(inst: FamilyInstance, ks, key, config: RunConfig):
+    """Over the base parts b^k, b = inst.u.b and k in ks in order: the
+    length of the first verified conjugator minimal under ``key``, or None;
+    the lengths measured; the conjugator count.
+
+    b must have infinite order.  Then a conjugator (h, e) that centralises
+    u has h trivial, so the conjugator at b^(k+1) is u times the one at b^k:
+    conjugator_for_z runs once, at the smallest k, and each step is
+    verified against u w = w v.  Witnesses are measured in
+    (w_length_floor, index) order up to the first floor strictly above the
+    best key: key(m) >= m.lower >= floor, so no unmeasured witness beats or
+    ties the best, and the answer is a measure-everything ``min``'s."""
+    u, v = inst.u, inst.v
+    B = u.base
+    if B.order(u.b) is not None:
+        raise ValueError("stepping conjugators along <b> needs b of infinite order")
+    by_k = {}
+    w = conjugator_for_z(u, v, B.power(u.b, min(ks)))
+    if w is not None:
+        for k in range(min(ks), max(ks) + 1):
+            by_k[k] = w
+            w = w_multiply(u, w)  # the conjugator at b^(k+1)
+            if w != w_multiply(by_k[k], v):
+                raise InvariantViolation("stepped conjugator failed verification")
+    witnesses = [by_k[k] for k in ks if k in by_k]
     best, measured = (float("inf"), -1, None), []  # best: (key, index, length)
     for floor, i in sorted((w_length_floor(w), i) for i, w in enumerate(witnesses)):
         if floor > best[0]:
@@ -268,9 +288,8 @@ def central_family_min_conjugator(
     inst = central_family(spec, n, config)
     B = spec.B
     window = inst.delta + n + 2
-    powers = (B.power(spec.x, k) for k in range(-window, window + 1))
-    bases = sorted(powers, key=B.key)
-    min_len, measured, count = _min_conjugator(inst, bases, lambda m: m.value, config)
+    ks = sorted(range(-window, window + 1), key=lambda k: B.key(B.power(spec.x, k)))
+    min_len, measured, count = _min_conjugator(inst, ks, lambda m: m.value, config)
     offfamily_clean = _offfamily_clean(inst, spec.x)
     bound = 4 * inst.delta
     # the family's reason for existing: the shortest conjugator is at least
@@ -339,9 +358,7 @@ def z2_min_conjugator(spec: FamilySpec, n: int, config: RunConfig = DEFAULT) -> 
     the ``lower`` fields stay sound and carry the quadratic bound.
     """
     inst = z2_triangle_family(spec, n, config)
-    B = spec.B
-    bases = (B.power(spec.y, k) for k in range(-3 * n, 3 * n + 1))
-    min_len, _, count = _min_conjugator(inst, bases, lambda m: m.lower, config)
+    min_len, _, count = _min_conjugator(inst, range(-3 * n, 3 * n + 1), lambda m: m.lower, config)
     offfamily_clean = _offfamily_clean(inst, spec.y)
     bound = n * n + n
     # quadratic growth from linear inputs; the lamp count alone carries it,

@@ -32,6 +32,7 @@ the components with the path-TSP kernel of the wreath metric
 """
 
 from functools import lru_cache
+from itertools import chain
 
 from .config import DEFAULT, RunConfig
 from .errors import BeyondCapError, InvariantViolation
@@ -445,21 +446,26 @@ class SolvableGroup(GroupHandle):
             )
             return words.setdefault(Q.key(q), word)
 
+        def is_image(w):
+            zk = Q.key(w.b)
+            return divergence_of(w) == ({} if zk == ekey else {ekey: 1, zk: -1})
+
         def image_word():
             if Q.key(u.b) == ekey:
                 return P(res.witness.b)
-            for z in base_part_candidates(u, v):
-                w = conjugator_for_z(u, v, z)
-                zk = Q.key(z)
-                if w is not None and divergence_of(w) == ({} if zk == ekey else {ekey: 1, zk: -1}):
-                    word = word_identity(self.r)
-                    for q, vec in w.f.values():
-                        for i, (g, n) in enumerate(zip(gens, vec), 1):
-                            if n:
-                                loop = P(q) * FreeWord(self.r, (i,)) * P(Q.multiply(q, g)).inverse()
-                                word = word * loop.power(n)
-                    return word * P(z)
-            raise InvariantViolation("conjugate pair has no image conjugator")
+            # the decision's witness is the first candidate's conjugator:
+            # search the candidates only when it is not an image
+            found = (conjugator_for_z(u, v, z) for z in base_part_candidates(u, v))
+            w = next((w for w in chain([res.witness], found) if w is not None and is_image(w)), None)
+            if w is None:
+                raise InvariantViolation("conjugate pair has no image conjugator")
+            word = word_identity(self.r)
+            for q, vec in w.f.values():
+                for i, (g, n) in enumerate(zip(gens, vec), 1):
+                    if n:
+                        loop = P(q) * FreeWord(self.r, (i,)) * P(Q.multiply(q, g)).inverse()
+                        word = word * loop.power(n)
+            return word * P(w.b)
 
         z = self.from_word(image_word())
         if self.key(self.multiply(b, z)) != self.key(self.multiply(z, c)):

@@ -22,13 +22,21 @@ representative t of <b>; the ordered product of the lamp values of f along
 the coset (higher power of b multiplying on the left), optionally shifted
 by z, is the invariant pi_t^(z)(f).  Support points are grouped into
 cosets by power membership alone: p lies in <b>t iff p t^-1 is a power of
-b, which also gives p's exponent along the coset.  Power membership and
-element orders of wreath forms (w_power_membership, w_order) are exact
-recursions into A and B, with no length bound.  Two elements (f,b),
+b, which also gives p's exponent along the coset.  Each element sorts its
+own support into cosets once, with each coset's projection (its coset
+table, filled on first use).  Power membership and element orders of
+wreath forms (w_power_membership, w_order) are exact recursions into A
+and B, with no length bound.  Two elements (f,b),
 (g,c) are conjugate iff some z with bz = zc matches the projections on
 every coset (equality for b of infinite order, A-conjugacy for finite
 order), and the conjugator (h, z) is assembled from prefix products along
-each coset.
+each coset.  Since bz = zc, z carries g's coset <c>t' onto <b>zt' with
+exponents unchanged, so matching the two tables costs one membership
+query per pair of cosets tried.  For b of infinite order the conjugator
+with a given base part is unique (a centraliser element (h, e) of
+(f, b) has h trivial), so the one at b^k z is (f, b)^k times the one at
+z: the family scans of the clf module step along <b> instead of solving
+every power again.
 One generator, base_part_candidates, supplies the base parts z to try: a
 conjugator must carry a nontrivially projecting coset of g onto a coset
 through Supp f, which leaves at most |Supp f| candidates up to powers of b,
@@ -121,7 +129,7 @@ class FormKey(tuple):
 class WreathElement:
     """An element (f, b) of A wr B; identity lamp values are never stored."""
 
-    __slots__ = ("lamp", "base", "f", "b", "_key")
+    __slots__ = ("lamp", "base", "f", "b", "_key", "_table")  # _table: see _coset_table
 
     def __init__(self, lamp, base, f: dict, b, key=None):
         self.lamp = lamp
@@ -455,22 +463,21 @@ def pi_projection(u: WreathElement, t, z=None):
     return _ordered_product(A, entries)
 
 
-def _cosets(B, b, order_n, *sides):
-    """Sort the (point, value) pairs of each side into right cosets of <b>
-    by power membership alone: a point joins the first open coset <b>t
-    that _coset_j places it in, or opens a new one with itself as t and
-    j = 0.  Returns [(t, ({j: value} per side))] in first-seen order."""
+def _cosets(B, b, order_n, points):
+    """Sort (point, value) pairs into right cosets of <b> by power
+    membership alone: a point joins the first open coset <b>t that
+    _coset_j places it in, or opens a new one with itself as t and j = 0.
+    Returns [(t, {j: value})] in first-seen order."""
     cosets = []
-    for i, side in enumerate(sides):
-        for point, val in side:
-            for t, maps in cosets:
-                j = _coset_j(B, b, order_n, point, t)
-                if j is not None:
-                    break
-            else:
-                j, maps = 0, tuple({} for _ in sides)
-                cosets.append((point, maps))
-            maps[i][j] = val
+    for point, val in points:
+        for t, jmap in cosets:
+            j = _coset_j(B, b, order_n, point, t)
+            if j is not None:
+                break
+        else:
+            j, jmap = 0, {}
+            cosets.append((point, jmap))
+        jmap[j] = val
     return cosets
 
 
@@ -479,9 +486,30 @@ def _sorted_support(u: WreathElement):
     return [u.f[k] for k in sorted(u.f)]
 
 
+def _coset_table(u: WreathElement):
+    """u's support sorted into right cosets of <u.b> once per element:
+    [(t, {j: value}, projection)] in first-seen order over the sorted
+    support, the projection the coset's ordered lamp product.  Filled on
+    first use, so building an element costs nothing extra."""
+    try:
+        return u._table
+    except AttributeError:
+        A, B = u.lamp, u.base
+        cosets = _cosets(B, u.b, B.order(u.b), _sorted_support(u))
+        u._table = [(t, jmap, _ordered_product(A, jmap.items())) for t, jmap in cosets]
+        return u._table
+
+
 def conjugator_for_z(u: WreathElement, v: WreathElement, z) -> Optional[WreathElement]:
     """The conjugator (h, z) with u (h,z) = (h,z) v for this base part, or
     None when no conjugator with base part z exists.
+
+    Both supports come sorted into cosets from their elements' coset
+    tables.  Since bz = zc, z carries v's coset <c>t' onto <b>zt' with
+    exponents unchanged, so each coset of v is placed with one _coset_j
+    per coset of u tried; for b of infinite order only cosets of u with
+    the same projection are tried, and the first projection mismatch
+    rejects z before anything is assembled.
 
     h is assembled per coset from prefix products: writing F_k (resp. G_k)
     for the product of the f values (resp. shifted g values) at exponents
@@ -490,6 +518,10 @@ def conjugator_for_z(u: WreathElement, v: WreathElement, z) -> Optional[WreathEl
     finite support and takes alpha = 1; the finite-order-N case takes the
     alpha = A.conjugator of the full coset products.  The returned element
     is verified before being returned.
+
+    For b of infinite order the conjugator at b^k z is u^k times the one at
+    z: a conjugator (h, e) that centralises u has h trivial, so the
+    conjugator for a base part is unique.
     """
     _check_groups(u, v)
     A, B = u.lamp, u.base
@@ -499,19 +531,38 @@ def conjugator_for_z(u: WreathElement, v: WreathElement, z) -> Optional[WreathEl
     if order_n != B.order(v.b):
         return None
 
-    shifted = [(B.multiply(z, pos), val) for pos, val in _sorted_support(v)]
+    ekey = A.key(A.identity)
+    cosets = [(t, fmap, pf, {}) for t, fmap, pf in _coset_table(u)]  # + g's values on <b>t
+    unmatched = list(range(len(cosets)))
+    for t2, gmap, pg in _coset_table(v):
+        s, pgk = B.multiply(z, t2), A.key(pg)  # z c^j t2 = b^j s
+        for i in unmatched:
+            t, _, pf, shifted = cosets[i]
+            if order_n is None and A.key(pf) != pgk:
+                continue  # infinite order: a match needs equal projections
+            j0 = _coset_j(B, u.b, order_n, s, t)
+            if j0 is not None:
+                unmatched.remove(i)
+                for j, val in gmap.items():
+                    shifted[j + j0 if order_n is None else (j + j0) % order_n] = val
+                break
+        else:  # s meets no coset of u that can match
+            if order_n is None and pgk != ekey:
+                return None
+            cosets.append((s, {}, A.identity, gmap))
+    if order_n is None and any(A.key(cosets[i][2]) != ekey for i in unmatched):
+        return None
+
     pairs = []
-    for t, (fmap, gmap) in _cosets(B, u.b, order_n, _sorted_support(u), shifted):
-        pf = _ordered_product(A, fmap.items())
-        pg = _ordered_product(A, gmap.items())
+    for t, fmap, pf, gmap in cosets:
         if order_n is None:
-            alpha = A.identity if A.key(pf) == A.key(pg) else None
+            alpha = A.identity
             js = set(fmap) | set(gmap)
             ks = range(min(js), max(js))
         else:
-            alpha, ks = A.conjugator(pf, pg), range(order_n)
-        if alpha is None:
-            return None
+            alpha, ks = A.conjugator(pf, _ordered_product(A, gmap.items())), range(order_n)
+            if alpha is None:
+                return None
         fcur = gcur = A.identity
         pos = B.multiply(B.power(u.b, ks.start), t)  # b^k t, one step per k
         for k in ks:
@@ -520,7 +571,7 @@ def conjugator_for_z(u: WreathElement, v: WreathElement, z) -> Optional[WreathEl
             if k in gmap:
                 gcur = A.multiply(gmap[k], gcur)
             val = A.multiply(A.multiply(fcur, alpha), A.invert(gcur))
-            if A.key(val) != A.key(A.identity):
+            if A.key(val) != ekey:
                 pairs.append((pos, val))
             pos = B.multiply(u.b, pos)
 
@@ -533,12 +584,9 @@ def conjugator_for_z(u: WreathElement, v: WreathElement, z) -> Optional[WreathEl
 def _projecting_point(u: WreathElement):
     """A support point of u whose <b>-coset has a nontrivial projection,
     or None when every coset projection of the lamp part is trivial."""
-    A, B = u.lamp, u.base
+    A = u.lamp
     ekey = A.key(A.identity)
-    for t, (fmap,) in _cosets(B, u.b, B.order(u.b), _sorted_support(u)):
-        if A.key(_ordered_product(A, fmap.items())) != ekey:
-            return t
-    return None
+    return next((t for t, _, p in _coset_table(u) if A.key(p) != ekey), None)
 
 
 def is_inert(u: WreathElement) -> bool:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from magnuskit import magnus, wreath
+from magnuskit import clf, magnus, wreath
 from magnuskit.cli import main
 from magnuskit.groups import ZrHandle
 from magnuskit.wreath import element_from_json
@@ -243,6 +243,31 @@ def test_family_rows_are_pinned(capsys, kind, x, y):
     )
     assert code == 0
     assert out == "\n".join(["n,measured,bound,exact,witness_len,seed", *rows]) + "\n"
+
+
+def test_z2_family_builds_one_conjugator_per_scan(capsys, monkeypatch):
+    # the scan steps its witnesses along <y> from one conjugator_for_z call;
+    # the off-family check tries each of the 13 candidates, and every
+    # support is sorted into cosets once per element
+    calls = {"conjugator_for_z": 0, "_coset_j": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    build = counting("conjugator_for_z", wreath.conjugator_for_z)
+    monkeypatch.setattr(wreath, "conjugator_for_z", build)
+    monkeypatch.setattr(clf, "conjugator_for_z", build)
+    monkeypatch.setattr(wreath, "_coset_j", counting("_coset_j", wreath._coset_j))
+    code, out, _ = run(
+        capsys, "family", "--kind", "z2", "--group", '{"kind":"Zr","r":2}',
+        "--x", "[1]", "--y", "[2]", "--n-min", "6", "--n-max", "6", "--seed", "1",
+    )
+    assert code == 0 and out.split()[-1] == "6,100,42,0,100,1"
+    assert calls["conjugator_for_z"] <= 14
+    assert calls["_coset_j"] <= 1500
 
 
 def test_clf_scan_command(capsys):

@@ -582,6 +582,31 @@ def test_non_inert_decision_tries_at_most_the_support(monkeypatch):
         assert 0 < len(calls) <= len(u.form.f)
 
 
+def test_solvable_conjugator_reuses_an_image_witness(monkeypatch):
+    # when the decision's first witness is an image, spelling it builds no
+    # conjugator beyond the decision's own
+    calls = []
+    build = wreath.conjugator_for_z
+
+    def counting(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(wreath, "conjugator_for_z", counting)
+    monkeypatch.setattr(magnus, "conjugator_for_z", counting)
+    for S in (S22, solvable_group(2, 3)):
+        for letters, g in (((1,), (2, 1)), ((1, 2), (2,)), ((1, 1, 2), (2, -1))):
+            u = S.from_word(FreeWord(2, letters))
+            gamma = S.from_word(FreeWord(2, g))
+            v = S.multiply(S.multiply(S.invert(gamma), u), gamma)
+            calls.clear()
+            solvable_conjugacy_test(u, v)
+            decided = len(calls)
+            calls.clear()
+            z = S.conjugator(u, v)
+            assert z.word.letters == g and len(calls) == decided == 1
+
+
 def test_conjugacy_finds_each_projecting_point_once(monkeypatch):
     # over an S_{2,2} base every coset membership query takes a geodesic
     # length and a power search, so v's projecting point is found only once

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -20,6 +22,7 @@ from magnuskit.wreath import (
     Measure,
     WreathGroup,
     base_generator,
+    base_part_candidates,
     conjugacy_test,
     conjugator_for_z,
     element_from_json,
@@ -37,6 +40,7 @@ from magnuskit.wreath import (
     w_power,
     wreath_element,
 )
+from magnuskit.magnus import solvable_group
 from magnuskit.words import random_word
 
 Z = ZrHandle(1)
@@ -301,6 +305,17 @@ def test_conjugator_absent_on_projection_mismatch():
     v = wreath_element(Z, Z, [((0,), (2,))], (0,))
     for z in range(-4, 5):
         assert conjugator_for_z(u, v, (z,)) is None
+
+
+def test_conjugator_absent_when_a_projecting_coset_is_unmatched():
+    # u projects nontrivially on two cosets of <b> and v on one: whichever
+    # way round, some nontrivial coset meets no partner, at every base part
+    u = wreath_element(Z, Z2, [((0, 0), (1,)), ((0, 1), (1,))], (1, 0))
+    v = wreath_element(Z, Z2, [((0, 0), (1,))], (1, 0))
+    for z in [(i, j) for i in range(-2, 3) for j in range(-2, 3)]:
+        assert conjugator_for_z(u, v, z) is None
+        assert conjugator_for_z(v, u, z) is None
+    assert not conjugacy_test(u, v) and not conjugacy_test(v, u)
 
 
 def test_conjugator_requires_intertwining_base_parts():
@@ -591,6 +606,72 @@ def test_conjugacy_heisenberg_lamp_finite_base():
         res = conjugacy_test(u, v)
         assert res.conjugate and res.complete
         assert w_multiply(u, res.witness) == w_multiply(res.witness, v)
+
+
+@pytest.mark.parametrize(
+    "base", [Z2, HeisenbergHandle(), FreeHandle(2), solvable_group(2, 2)], ids=lambda h: h.kind
+)
+def test_conjugators_step_along_the_base_part(base):
+    # for b of infinite order the conjugator at base part b^k z is u^k times
+    # the one at z, as an element and in its JSON form
+    rng = random.Random(71)
+
+    def element(lamps, n):
+        near = [base.from_word(random_word(2, rng.randint(0, 3), rng)) for _ in range(lamps)]
+        pairs = [(p, (rng.choice([-1, 1, 2]),)) for p in near]
+        return wreath_element(Z, base, pairs, base.from_word(random_word(2, n, rng)))
+
+    steps = 0
+    for _ in range(15):
+        u = element(rng.randint(1, 5), rng.randint(1, 3))
+        if base.order(u.b) is None:
+            gamma = element(rng.randint(0, 3), rng.randint(0, 3))
+            v = w_conjugate(u, gamma)
+            for z in [*base_part_candidates(u, v), gamma.b]:
+                w = conjugator_for_z(u, v, z)
+                for k in range(-2, 4):
+                    stepped = conjugator_for_z(u, v, base.multiply(base.power(u.b, k), z))
+                    if w is None:
+                        assert stepped is None
+                        continue
+                    expected = w_multiply(w_power(u, k), w)
+                    assert stepped == expected
+                    assert element_to_json(stepped) == element_to_json(expected)
+                    steps += 1
+    assert steps
+
+
+def _decision_digest():
+    """sha256 over seeded conjugacy_test results: decision, case and
+    witness JSON, over finite (alpha from A.conjugator) and infinite base
+    parts."""
+    rng = random.Random(20)
+    digest = hashlib.sha256()
+    S3 = PermHandle(3)
+    for A, B, reps in (
+        (Z, ZNHandle(3), 40),
+        (S3, S3, 40),
+        (Z, Z2, 40),
+        (S3, Z2, 30),
+        (Z, HeisenbergHandle(), 30),
+        (Z, solvable_group(2, 2), 10),
+    ):
+        for _ in range(reps):
+            u = random_wreath_element(A, B, rng, rng.randint(0, 12))
+            if rng.random() < 0.7:
+                v = w_conjugate(u, random_wreath_element(A, B, rng, rng.randint(0, 4)))
+            else:
+                v = random_wreath_element(A, B, rng, rng.randint(0, 12))
+            res = conjugacy_test(u, v)
+            witness = None if res.witness is None else element_to_json(res.witness)
+            digest.update(json.dumps([res.conjugate, res.case, witness], sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_decisions_are_pinned():
+    # decisions, cases and witness JSON of a seeded pool over finite and
+    # infinite base parts: any change to a decision or a witness shows here
+    assert _decision_digest() == "18e02d1c57ba3157720534d095af0aadac5e81955dc76eeb2db411343f39edb4"
 
 
 def test_minimal_conjugator_inert_pairs_take_base_minimum():
