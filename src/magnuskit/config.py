@@ -5,7 +5,7 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Exactness thresholds and search caps.
+    """Exactness threshold.
 
     travel_exact_max: largest path-TSP solved exactly (subset dynamic
         program), counted in travel points for the wreath travel cost and
@@ -13,16 +13,12 @@ class RunConfig:
         larger instances fall back to nearest-neighbour + 2-opt, which is
         exact when it meets the detour lower bound and carries an
         upper-bound flag otherwise.
-    walk_node_cap: ceiling for the one exploration that measures the
-        distances between flow-support components in the geodesic-length
-        formula, counted in distinct Cayley vertices expanded over the whole
-        connection cost.
-    Conjugacy decisions recurse into the lamp and base groups and have no
-    knob of their own.
+    The distances between flow-support components come from the base's word
+    metric, and conjugacy decisions recurse into the lamp and base groups;
+    neither has a knob of its own.
     """
 
     travel_exact_max: int = 9
-    walk_node_cap: int = 200_000
 
     def with_(self, **kw) -> "RunConfig":
         return replace(self, **kw)

@@ -24,11 +24,11 @@ The same coordinates, read as a function on Cayley-graph edges, are the
 net edge-traversal flow of the path w reads in Cay(Q), so lengths are read
 off the image too.  Word length in F/N' is the total flow plus twice the
 minimal number of off-support edges needed to visit every support vertex
-together with the identity.  The off-support connection cost reads every
-distance between flow-support components from one exploration of the
-off-support region, with each component contracted to a node, and orders
-the components with the path-TSP kernel of the wreath metric
-(wreath.path_tsp).
+together with the identity.  The off-support connection cost takes the
+distances between flow-support components from the base's own word
+metric, the nearest base distance between two components closed under
+shortest paths, and orders the components with the path-TSP kernel of the
+wreath metric (wreath.path_tsp).
 """
 
 from functools import lru_cache
@@ -222,71 +222,32 @@ def _support_components(form: WreathElement):
     return [sorted(c) for root, c in sorted(comps.items())], verts
 
 
-def _zero_one_distances(form: WreathElement, comps, verts, config: RunConfig):
+def _zero_one_distances(form: WreathElement, comps, verts):
     """Distance matrix of the flow-support components in the 0/1 metric:
     support edges are free, every other Cayley edge costs one.
 
-    Support edges join vertices of one component only, so with each
-    component contracted to a node the metric is a unit-weight BFS, run
-    from each component until every later one is reached.  The searches
-    share one region graph: a vertex gets an id when first reached and its
-    neighbours are multiplied out once; config.walk_node_cap counts those
-    expansions.
+    Support edges join vertices of one component only, so an off-support
+    walk splits at the component vertices it touches into hops that use no
+    support edge, each costing at least the base distance between its
+    ends; and a base geodesic realises any hop at most at that cost.  The
+    metric is therefore the shortest-path closure (Floyd-Warshall) of the
+    nearest base distances between components: sum |C_i||C_j| calls to
+    Q.distance and m^3 steps, with no search of the Cayley graph.
     """
-    Q = form.base
-    gens = [g for _, g in Q.generators()]
-    steps = gens + [Q.invert(g) for g in gens]
-    keys = [k for comp in comps for k in comp]
-    ids = {k: v for v, k in enumerate(keys)}
-    elems = [verts[k] for k in keys]
-    comp_of = [ci for ci, comp in enumerate(comps) for _ in comp]
-    members = [[ids[k] for k in comp] for comp in comps]
-    adj: dict = {}
-
-    def neighbours(v):
-        if v in adj:
-            return adj[v]
-        if len(adj) >= config.walk_node_cap:
-            raise BeyondCapError("off-support search exceeded the node cap")
-        q = elems[v]
-        cell = form.f.get(keys[v]) if comp_of[v] >= 0 else None
-        out = adj[v] = []
-        for i, s in enumerate(steps):
-            if cell and i < len(gens) and cell[1][i]:
-                continue  # a support edge: its head is in v's component
-            h = Q.multiply(q, s)
-            u = ids.setdefault(Q.key(h), len(elems))
-            if u == len(elems):
-                elems.append(h)
-                comp_of.append(-1)
-            out.append(u)
-        return out
-
+    dist = form.base.distance
+    elems = [[verts[k] for k in comp] for comp in comps]
     m = len(comps)
     D = [[0] * m for _ in range(m)]
-    for ci in range(m - 1):
-        seen = set(members[ci])
-        frontier, level, left = members[ci], 0, m - 1 - ci
-        while left:
-            level += 1
-            reached = []
-            for v in frontier:
-                for u in neighbours(v):
-                    if u in seen:
-                        continue
-                    cj = comp_of[u]
-                    if cj < 0:
-                        seen.add(u)
-                        reached.append(u)
-                        continue
-                    seen.update(members[cj])  # entering cj reaches all of it
-                    reached.extend(members[cj])
-                    if cj > ci:
-                        D[ci][cj] = D[cj][ci] = level
-                        left -= 1
-                if not left:
-                    break
-            frontier = reached
+    for i in range(m):
+        for j in range(i + 1, m):
+            D[i][j] = D[j][i] = min(dist(a, b) for a in elems[i] for b in elems[j])
+    for k in range(m):
+        Dk = D[k]
+        for row in D:
+            rk = row[k]
+            for j, via in enumerate(Dk):
+                if rk + via < row[j]:
+                    row[j] = rk + via
     return D
 
 
@@ -296,13 +257,15 @@ def offsupport_connection_cost(form: WreathElement, config: RunConfig = DEFAULT)
 
     Within a support component travel is free, so the walk cost is a
     path-TSP over components in the 0/1 metric with free endpoints.  The
-    component distances come from one exploration of the off-support
-    region with the components contracted (_zero_one_distances); the
-    ordering is solved by wreath.path_tsp: exact while the component count
-    stays within config.travel_exact_max, and beyond it when the path found
-    meets its lower bound, the largest component distance, which also
-    bounds the cheapest connecting forest from below; a flagged upper
-    bound otherwise.
+    component distances are the closure of the nearest base distances
+    between components (_zero_one_distances), so they cost what the base
+    metric Q.distance costs and search no region; in S_{r,d} with d >= 3
+    that is an exact length in S_{r,d-1}, which raises BeyondCapError past
+    the base's own thresholds.  The ordering is solved by wreath.path_tsp:
+    exact while the component count stays within config.travel_exact_max,
+    and beyond it when the path found meets its lower bound, the largest
+    component distance, which also bounds the cheapest connecting forest
+    from below; a flagged upper bound otherwise.
     """
     if not form.f:
         return Measure.exactly(0)
@@ -310,7 +273,7 @@ def offsupport_connection_cost(form: WreathElement, config: RunConfig = DEFAULT)
     m = len(comps)
     if m == 1:
         return Measure.exactly(0)
-    return path_tsp([0] * m, _zero_one_distances(form, comps, verts, config), [0] * m, config)
+    return path_tsp([0] * m, _zero_one_distances(form, comps, verts), [0] * m, config)
 
 
 # -- free solvable groups -------------------------------------------------------

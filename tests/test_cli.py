@@ -7,6 +7,11 @@ from magnuskit import clf, magnus, wreath
 from magnuskit.cli import main
 from magnuskit.groups import ZrHandle
 from magnuskit.wreath import element_from_json
+from magnuskit.words import FreeWord, commutator, gen, to_json
+
+
+# the star word at k = 2: commutator loops two steps out along +-x1, +-x2
+STAR2 = [a for x, y in ((1, 2), (-1, 2), (2, 1), (-2, 1)) for a in (x, x, x, y, -x, -y, -x, -x)]
 
 
 def run(capsys, *argv):
@@ -36,8 +41,6 @@ def test_len_abelianisation(capsys):
 def test_embed_kernel_word_gives_identity(capsys):
     # [c, x1^-1 c x1] with c = [x1, x2]: a nontrivial word in the second
     # derived subgroup, so its image at d=2 must be the identity
-    from magnuskit.words import commutator, gen, to_json
-
     c = commutator(gen(2, 1), gen(2, 2))
     word = commutator(c, gen(2, 1).inverse() * c * gen(2, 1))
     assert len(word) > 0
@@ -134,13 +137,13 @@ def test_wreath_conj_inert_pair_over_free_solvable_base(capsys, monkeypatch):
 
 
 def test_config_caps_reach_free_solvable_base(capsys, tmp_path):
-    # v is u conjugated by the lamp (1 at q, e), q = x1^2 [x1,x2] x1^-2 a
-    # loop away from the identity: the printed witness length walks to q,
-    # and with one Cayley vertex expanded off the support |q| cannot be
-    # computed
+    # v is u conjugated by the lamp (1 at q, e), q the star word at k = 2
+    # (four commutator loops two steps out along the axes): the printed
+    # witness length walks to q, and |q| joins five flow-support
+    # components, more than travel_exact_max = 3 lets the path-TSP certify
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"walk_node_cap": 1}))
-    q = {"word": [1, 1, 1, 2, -1, -2, -1, -1]}
+    cfgfile.write_text(json.dumps({"travel_exact_max": 3}))
+    q = {"word": STAR2}
     lamps = [{"at": {"word": []}, "val": [1]}, {"at": q, "val": [1]}]
     u = {"f": lamps, "b": {"word": [1]}}
     A, B = ZrHandle(1), magnus.solvable_group(2, 2)
@@ -366,23 +369,31 @@ def test_parse_error_exit_code(capsys):
 
 
 def test_beyond_cap_exit_code(capsys, tmp_path):
-    # two flow-support components 3 apart: joining them expands 9 Cayley
-    # vertices, one more than walk_node_cap allows
-    word = "x1 x2 x1^-1 x2^-1 x1^3 x2 x1 x2^-1 x1^-1 x1^-3"
-    code, out, _ = run(capsys, "len", word, "--r", "2", "--d", "2")
-    assert code == 0 and out.strip() == "12 exact"
+    # c p c p^-1 in S_{2,3}, p the star word at k = 2 and c the depth-2
+    # commutator [[x1, x2], [x1, x2^-1]]: its component distances are
+    # lengths in S_{2,2} across the star's five components, which
+    # travel_exact_max = 3 leaves uncertified
+    x1, x2 = gen(2, 1), gen(2, 2)
+    c = commutator(commutator(x1, x2), commutator(x1, x2.inverse()))
+    star = FreeWord(2, STAR2)
+    word = json.dumps(to_json(c * star * c * star.inverse()))
+    code, out, _ = run(capsys, "len", word, "--r", "2", "--d", "3")
+    assert code == 0 and out.strip().endswith(" exact")
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"walk_node_cap": 8}))
-    code, _, err = run(capsys, "--config", str(cfgfile), "len", word, "--r", "2", "--d", "2")
+    cfgfile.write_text(json.dumps({"travel_exact_max": 3}))
+    code, _, err = run(capsys, "--config", str(cfgfile), "len", word, "--r", "2", "--d", "3")
     assert code == 3
     assert "beyond-cap" in err
 
 
 def test_len_of_a_far_loop(capsys):
-    # a commutator loop 70 steps out: the search for the identity's
-    # component reads a radius-70 region, well inside the node cap
+    # commutator loops 70, then 400 and 300 steps out: the distance between
+    # two components is a Z^2 norm, however far apart they sit
     code, out, _ = run(capsys, "len", "x1^70 x2 x1 x2^-1 x1^-1 x1^-70", "--r", "2", "--d", "2")
     assert code == 0 and out.strip() == "144 exact"
+    word = "x1^400 x2 x1 x2^-1 x1^-1 x1^-400 x2^300 x1 x2 x1^-1 x2^-1 x2^-300"
+    code, out, _ = run(capsys, "len", word, "--r", "2", "--d", "2")
+    assert code == 0 and out.strip() == "1408 exact"
 
 
 def test_bad_json_exit_code(capsys):
@@ -420,7 +431,7 @@ def test_config_file_and_json_format(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key", ["no_such_option", "jobs", "z_scan_slack", "bfs_cap", "walk_cost_cap", "seed"]
+    "key", ["no_such_option", "jobs", "z_scan_slack", "bfs_cap", "walk_cost_cap", "seed", "walk_node_cap"]
 )
 def test_bad_config_key_is_parse_error(capsys, tmp_path, key):
     cfgfile = tmp_path / "cfg.json"

@@ -363,7 +363,7 @@ def _assert_distances_match_oracle(form):
     comps, verts = magnus._support_components(form)
     oracle = _oracle_distances(form)
     assert {p for p, _ in oracle} == set(verts)
-    D = magnus._zero_one_distances(form, comps, verts, DEFAULT)
+    D = magnus._zero_one_distances(form, comps, verts)
     for ci, a in enumerate(comps):
         assert all(oracle[a[0], k] == 0 for k in a)
         for cj, b in enumerate(comps):
@@ -410,36 +410,131 @@ def test_connection_cost_against_order_enumeration():
         assert got.value == _brute_connection_cost(form)
 
 
-def test_connection_cost_multiplies_each_vertex_step_once(monkeypatch):
-    # one exploration serves every component: no (vertex, generator)
-    # product is taken twice, support components and distances together
-    form = S22.from_word(_loop_word(random.Random(9), 9)).form
-    assert len(magnus._support_components(form)[0]) == 9
-    seen = []
-    multiply = ZrHandle.multiply
+def _bfs_component_distances(form, comps, verts):
+    """The component distance matrix by breadth-first search of the base's
+    Cayley graph, each component contracted to a node: a search from each
+    component until every later one is reached, support edges skipped
+    (their heads lie in the tail's component)."""
+    Q = form.base
+    gens = [g for _, g in Q.generators()]
+    steps = gens + [Q.invert(g) for g in gens]
+    comp_of = {k: ci for ci, comp in enumerate(comps) for k in comp}
+    m = len(comps)
+    D = [[0] * m for _ in range(m)]
+    for ci in range(m - 1):
+        seen = set(comps[ci])
+        frontier = [(k, verts[k]) for k in comps[ci]]
+        level, left = 0, m - 1 - ci
+        while left:
+            level += 1
+            reached = []
+            for k, q in frontier:
+                cell = form.f.get(k)
+                for i, s in enumerate(steps):
+                    if cell and i < len(gens) and cell[1][i]:
+                        continue
+                    h = Q.multiply(q, s)
+                    hk = Q.key(h)
+                    if hk in seen:
+                        continue
+                    cj = comp_of.get(hk)
+                    if cj is None:
+                        seen.add(hk)
+                        reached.append((hk, h))
+                        continue
+                    seen.update(comps[cj])  # entering cj reaches all of it
+                    reached.extend((k2, verts[k2]) for k2 in comps[cj])
+                    if cj > ci:
+                        D[ci][cj] = D[cj][ci] = level
+                        left -= 1
+            frontier = reached
+    return D
 
-    def recording(self, a, b):
-        seen.append((a, b))
+
+def _conjugated_commutators(rng, count):
+    """A product of `count` depth-2 nested commutators c, each conjugated
+    by a short random word p: p c p^-1 is trivial in S_{2,2}, so in
+    S_{2,3} each factor is a loop of Cay(S_{2,2}) out at p."""
+    w = FreeWord(2, ())
+    for _ in range(count):
+        p = random_word(2, rng.randrange(1, 4), rng)
+        w = w * p * nested_commutator_sample(2, 2, rng, base_length=1) * p.inverse()
+    return w
+
+
+def test_depth3_component_distances_against_bfs():
+    S3 = solvable_group(2, 3)
+    rng = random.Random(21)
+    seen = {}
+    for _ in range(40):
+        form = S3.from_word(_conjugated_commutators(rng, rng.randrange(3, 5))).form
+        comps, verts = magnus._support_components(form)
+        if len(comps) >= 2:
+            D = magnus._zero_one_distances(form, comps, verts)
+            assert D == _bfs_component_distances(form, comps, verts)
+            seen[len(comps)] = seen.get(len(comps), 0) + 1
+    assert seen.get(2, 0) >= 10 and sum(n for m, n in seen.items() if m >= 3) >= 4
+
+
+def test_component_distances_take_base_distances_only(monkeypatch):
+    # the matrix is read from the base metric: at most one distance per pair
+    # of vertices in different components, and no Cayley vertex multiplied out
+    form = S22.from_word(_loop_word(random.Random(9), 9)).form
+    comps, verts = magnus._support_components(form)
+    assert len(comps) == 9
+    sizes = [len(c) for c in comps]
+    calls = {"distance": 0, "multiply": 0}
+    distance, multiply = ZrHandle.distance, ZrHandle.multiply
+
+    def counting_distance(self, a, b):
+        calls["distance"] += 1
+        return distance(self, a, b)
+
+    def counting_multiply(self, a, b):
+        calls["multiply"] += 1
         return multiply(self, a, b)
 
-    monkeypatch.setattr(ZrHandle, "multiply", recording)
-    assert offsupport_connection_cost(form).exact
-    assert seen and len(seen) == len(set(seen))
+    monkeypatch.setattr(ZrHandle, "distance", counting_distance)
+    monkeypatch.setattr(ZrHandle, "multiply", counting_multiply)
+    magnus._zero_one_distances(form, comps, verts)
+    assert 0 < calls["distance"] <= sum(a * b for a, b in itertools.combinations(sizes, 2))
+    assert calls["multiply"] == 0
 
 
 def test_one_handle_per_config():
     # a defaulted and a passed config share one handle, so wreath products
     # over it take _check_groups' identity fast path
     assert solvable_group(2, 2) is solvable_group(2, 2, DEFAULT) is solvable_group(2, 2, RunConfig())
-    other = solvable_group(2, 2, DEFAULT.with_(walk_node_cap=10))
-    assert other is not solvable_group(2, 2) and other.config.walk_node_cap == 10
+    other = solvable_group(2, 2, DEFAULT.with_(travel_exact_max=3))
+    assert other is not solvable_group(2, 2) and other.config.travel_exact_max == 3
+
+
+def _depth3_star_word():
+    """c p c p^-1 in S_{2,3}, with p the star word at k = 2 and c the
+    depth-2 commutator [[x1, x2], [x1, x2^-1]]: three flow-support
+    components, two of them joined through the star's five-component
+    length in S_{2,2}."""
+    x1, x2 = gen(2, 1), gen(2, 2)
+    c = commutator(commutator(x1, x2), commutator(x1, x2.inverse()))
+    p = _star_word(2)
+    return c * p * c * p.inverse()
+
+
+def test_depth3_connection_cost_through_a_star():
+    # the component distances are S_{2,2} lengths, read with no search of
+    # S_{2,2}'s Cayley graph, whose balls grow exponentially
+    form = solvable_group(2, 3).from_word(_depth3_star_word()).form
+    assert len(magnus._support_components(form)[0]) == 3
+    assert offsupport_connection_cost(form) == wreath.Measure.exactly(32)
 
 
 def test_connection_cost_caps_raise():
-    form = S22.from_word(_loop_word(random.Random(9), 9)).form
-    assert offsupport_connection_cost(form).exact
+    # past travel_exact_max the base length of the star is only bounded,
+    # so the distances between the components cannot be read exactly
+    cfg = DEFAULT.with_(travel_exact_max=3)
+    form = solvable_group(2, 3, cfg).from_word(_depth3_star_word()).form
     with pytest.raises(BeyondCapError):
-        offsupport_connection_cost(form, DEFAULT.with_(walk_node_cap=10))
+        offsupport_connection_cost(form, cfg)
 
 
 @pytest.mark.parametrize("components, cap", [(3, 2), (6, 4)])
