@@ -27,8 +27,9 @@ minimal number of off-support edges needed to visit every support vertex
 together with the identity.  The off-support connection cost takes the
 distances between flow-support components from the base's own word
 metric, the nearest base distance between two components closed under
-shortest paths, and orders the components with the path-TSP kernel of the
-wreath metric (wreath.path_tsp).
+shortest paths (bracketed by sound bounds over a free solvable base), and
+orders the components with the path-TSP kernel of the wreath metric
+(wreath.path_tsp).
 """
 
 from functools import lru_cache
@@ -222,26 +223,9 @@ def _support_components(form: WreathElement):
     return [sorted(c) for root, c in sorted(comps.items())], verts
 
 
-def _zero_one_distances(form: WreathElement, comps, verts):
-    """Distance matrix of the flow-support components in the 0/1 metric:
-    support edges are free, every other Cayley edge costs one.
-
-    Support edges join vertices of one component only, so an off-support
-    walk splits at the component vertices it touches into hops that use no
-    support edge, each costing at least the base distance between its
-    ends; and a base geodesic realises any hop at most at that cost.  The
-    metric is therefore the shortest-path closure (Floyd-Warshall) of the
-    nearest base distances between components: sum |C_i||C_j| calls to
-    Q.distance and m^3 steps, with no search of the Cayley graph.
-    """
-    dist = form.base.distance
-    elems = [[verts[k] for k in comp] for comp in comps]
-    m = len(comps)
-    D = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            D[i][j] = D[j][i] = min(dist(a, b) for a in elems[i] for b in elems[j])
-    for k in range(m):
+def _closure(D):
+    """Shortest-path closure (Floyd-Warshall) of a symmetric matrix, in place."""
+    for k in range(len(D)):
         Dk = D[k]
         for row in D:
             rk = row[k]
@@ -251,6 +235,80 @@ def _zero_one_distances(form: WreathElement, comps, verts):
     return D
 
 
+def _length_bounds(form: WreathElement):
+    """(upper, lower) bounds on the word length of the element with this
+    Magnus form: the total flow plus twice the cheapest connecting forest,
+    bounded above by a spanning tree of the components (in the 0/1 upper
+    matrix) and below by _forest_lower (in the lower one)."""
+    flow = sum(abs(c) for _, vec in form.f.values() for c in vec)
+    comps, verts = _support_components(form)
+    if len(comps) == 1:
+        return flow, flow
+    up, low = _zero_one_distances(form, comps, verts)
+    return flow + 2 * _spanning_tree(up), flow + 2 * _forest_lower(low)
+
+
+def _spanning_tree(D) -> int:
+    """Weight of a minimum spanning tree of the components (Prim): joining
+    them along its edges is a connecting forest."""
+    best, cost = list(D[0]), 0
+    left = set(range(1, len(D)))
+    while left:
+        r = min(left, key=best.__getitem__)
+        left.remove(r)
+        cost += best[r]
+        for s in left:
+            best[s] = min(best[s], D[r][s])
+    return cost
+
+
+def _forest_lower(D) -> int:
+    """A sound lower bound on the cheapest forest connecting the components:
+    it holds a path between any two of them, and it crosses the ball around
+    each component of radius half the distance to its nearest neighbour,
+    balls that do not overlap."""
+    nearest = [min(d for j, d in enumerate(row) if j != i) for i, row in enumerate(D)]
+    return max(max(map(max, D)), -(-sum(nearest) // 2))
+
+
+def _zero_one_distances(form: WreathElement, comps, verts):
+    """Distance matrices (upper, lower) of the flow-support components in
+    the 0/1 metric: support edges are free, every other Cayley edge costs
+    one.
+
+    Support edges join vertices of one component only, so an off-support
+    walk splits at the component vertices it touches into hops that use no
+    support edge, each costing at least the base distance between its
+    ends; and a base geodesic realises any hop at most at that cost.  The
+    metric is therefore the shortest-path closure (Floyd-Warshall) of the
+    nearest base distances between components: sum |C_i||C_j| base
+    distances and m^3 steps, with no search of the Cayley graph.  Over
+    Z^r the base distance is exact and the two matrices are one object.
+    Over S_{r,k}, k >= 2, the base's own geodesic_length can read too long
+    (a path where the geodesic is a Steiner tree, ROADMAP item 1), so each
+    base distance is bracketed by _length_bounds instead, and the matrices
+    are one object only where the two closures agree, which makes them
+    exact.
+    """
+    Q = form.base
+    elems = [[verts[k] for k in comp] for comp in comps]
+    m = len(comps)
+    up = [[0] * m for _ in range(m)]
+    if not isinstance(Q, SolvableGroup):
+        for i in range(m):
+            for j in range(i + 1, m):
+                up[i][j] = up[j][i] = min(Q.distance(a, b) for a in elems[i] for b in elems[j])
+        return _closure(up), up
+    low = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            pairs = [_length_bounds(w_multiply(w_invert(a.form), b.form)) for a in elems[i] for b in elems[j]]
+            up[i][j] = up[j][i] = min(u for u, _ in pairs)
+            low[i][j] = low[j][i] = min(lo for _, lo in pairs)
+    up, low = _closure(up), _closure(low)
+    return up, (up if low == up else low)
+
+
 def offsupport_connection_cost(form: WreathElement, config: RunConfig = DEFAULT) -> Measure:
     """Minimal number of non-support edges in a walk visiting every support
     vertex and the identity; support edges may be reused freely.
@@ -258,14 +316,15 @@ def offsupport_connection_cost(form: WreathElement, config: RunConfig = DEFAULT)
     Within a support component travel is free, so the walk cost is a
     path-TSP over components in the 0/1 metric with free endpoints.  The
     component distances are the closure of the nearest base distances
-    between components (_zero_one_distances), so they cost what the base
-    metric Q.distance costs and search no region; in S_{r,d} with d >= 3
-    that is an exact length in S_{r,d-1}, which raises BeyondCapError past
-    the base's own thresholds.  The ordering is solved by wreath.path_tsp:
-    exact while the component count stays within config.travel_exact_max,
-    and beyond it when the path found meets its lower bound, the largest
-    component distance, which also bounds the cheapest connecting forest
-    from below; a flagged upper bound otherwise.
+    between components (_zero_one_distances), so they cost what a base
+    distance costs and search no region.  The ordering is solved by
+    wreath.path_tsp: exact while the component count stays within
+    config.travel_exact_max, and beyond it when the path found meets its
+    lower bound, the largest component distance, which also bounds the
+    cheapest connecting forest from below; a flagged upper bound
+    otherwise.  In S_{r,d} with d >= 3 a component distance that the
+    bounds on lengths in S_{r,d-1} leave open makes the cost a flagged
+    upper bound too, with _forest_lower of the lower matrix as its lower.
     """
     if not form.f:
         return Measure.exactly(0)
@@ -273,7 +332,9 @@ def offsupport_connection_cost(form: WreathElement, config: RunConfig = DEFAULT)
     m = len(comps)
     if m == 1:
         return Measure.exactly(0)
-    return path_tsp([0] * m, _zero_one_distances(form, comps, verts), [0] * m, config)
+    up, low = _zero_one_distances(form, comps, verts)
+    cost = path_tsp([0] * m, up, [0] * m, config)
+    return cost if up is low else Measure(cost.value, False, _forest_lower(low))
 
 
 # -- free solvable groups -------------------------------------------------------

@@ -368,20 +368,30 @@ def test_parse_error_exit_code(capsys):
     assert code == 2
 
 
-def test_beyond_cap_exit_code(capsys, tmp_path):
-    # c p c p^-1 in S_{2,3}, p the star word at k = 2 and c the depth-2
+def test_beyond_cap_exit_code(capsys):
+    # two flow-support components 3 apart
+    word = "x1 x2 x1^-1 x2^-1 x1^3 x2 x1 x2^-1 x1^-1 x1^-3"
+    code, out, _ = run(capsys, "len", word, "--r", "2", "--d", "2")
+    assert code == 0 and out.strip() == "12 exact"
+    # q = c p c p^-1 in S_{2,3}, p the star word at k = 2 and c the depth-2
     # commutator [[x1, x2], [x1, x2^-1]]: its component distances are
-    # lengths in S_{2,2} across the star's five components, which
-    # travel_exact_max = 3 leaves uncertified
+    # star-shaped lengths in S_{2,2}, only bounded, so |q| is an upper bound
+    # (flow 28 plus twice the true connection cost 30, which
+    # test_magnus.py checks by brute force), and a wreath witness length
+    # that walks to q exits 3
     x1, x2 = gen(2, 1), gen(2, 2)
     c = commutator(commutator(x1, x2), commutator(x1, x2.inverse()))
     star = FreeWord(2, STAR2)
-    word = json.dumps(to_json(c * star * c * star.inverse()))
-    code, out, _ = run(capsys, "len", word, "--r", "2", "--d", "3")
-    assert code == 0 and out.strip().endswith(" exact")
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"travel_exact_max": 3}))
-    code, _, err = run(capsys, "--config", str(cfgfile), "len", word, "--r", "2", "--d", "3")
+    q = to_json(c * star * c * star.inverse())
+    code, out, _ = run(capsys, "len", json.dumps(q), "--r", "2", "--d", "3")
+    assert code == 0 and out.strip() == "88 upper-bound"
+    lamps = [{"at": {"word": []}, "val": [1]}, {"at": {"word": q}, "val": [1]}]
+    u = {"f": lamps, "b": {"word": [1]}}
+    A, B = ZrHandle(1), magnus.solvable_group(2, 3)
+    gamma = element_from_json({"f": [{"at": {"word": q}, "val": [1]}], "b": {"word": []}}, A, B)
+    v = wreath.w_conjugate(element_from_json(u, A, B), gamma)
+    code, _, err = run(capsys, "wreath-conj", json.dumps(u), json.dumps(wreath.element_to_json(v)),
+                       "--lamp", '{"kind":"Zr","r":1}', "--base", '{"kind":"free_solvable","r":2,"d":3}')
     assert code == 3
     assert "beyond-cap" in err
 

@@ -363,7 +363,8 @@ def _assert_distances_match_oracle(form):
     comps, verts = magnus._support_components(form)
     oracle = _oracle_distances(form)
     assert {p for p, _ in oracle} == set(verts)
-    D = magnus._zero_one_distances(form, comps, verts)
+    D, lower = magnus._zero_one_distances(form, comps, verts)
+    assert lower is D  # the Z^2 metric is exact
     for ci, a in enumerate(comps):
         assert all(oracle[a[0], k] == 0 for k in a)
         for cj, b in enumerate(comps):
@@ -470,8 +471,8 @@ def test_depth3_component_distances_against_bfs():
         form = S3.from_word(_conjugated_commutators(rng, rng.randrange(3, 5))).form
         comps, verts = magnus._support_components(form)
         if len(comps) >= 2:
-            D = magnus._zero_one_distances(form, comps, verts)
-            assert D == _bfs_component_distances(form, comps, verts)
+            D, lower = magnus._zero_one_distances(form, comps, verts)
+            assert D == lower == _bfs_component_distances(form, comps, verts)
             seen[len(comps)] = seen.get(len(comps), 0) + 1
     assert seen.get(2, 0) >= 10 and sum(n for m, n in seen.items() if m >= 3) >= 4
 
@@ -509,32 +510,131 @@ def test_one_handle_per_config():
     assert other is not solvable_group(2, 2) and other.config.travel_exact_max == 3
 
 
-def _depth3_star_word():
-    """c p c p^-1 in S_{2,3}, with p the star word at k = 2 and c the
-    depth-2 commutator [[x1, x2], [x1, x2^-1]]: three flow-support
-    components, two of them joined through the star's five-component
-    length in S_{2,2}."""
+def _steiner_length(form):
+    """Word length in S_{2,2} from the Magnus form, by brute force over Z^2:
+    total flow plus twice a minimum Steiner tree joining the flow-support
+    components and the identity, support edges free (Dreyfus-Wagner, one
+    0/1 Dijkstra per subset of components).  The search stays in the
+    bounding box of the support: clamping a tree into it does not
+    lengthen it."""
+    flow = sum(abs(c) for _, vec in form.f.values() for c in vec)
+    comps, _ = magnus._support_components(form)
+    if len(comps) == 1:
+        return flow
+    free = {(p, i) for p, (_, vec) in form.f.items() for i, c in enumerate(vec) if c}
+    pts = [p for comp in comps for p in comp]
+    lo = [min(p[i] for p in pts) for i in (0, 1)]
+    hi = [max(p[i] for p in pts) for i in (0, 1)]
+    nodes = list(itertools.product(range(lo[0], hi[0] + 1), range(lo[1], hi[1] + 1)))
+
+    def edges(p):
+        for i, s in itertools.product((0, 1), (1, -1)):
+            q = (p[0] + (s if i == 0 else 0), p[1] + (s if i == 1 else 0))
+            if lo[i] <= q[i] <= hi[i]:
+                yield q, 0 if (p if s > 0 else q, i) in free else 1
+
+    def spread(cost):
+        dq = deque(sorted((d, p) for p, d in cost.items()))
+        while dq:
+            d, p = dq.popleft()
+            if d > cost[p]:
+                continue
+            for q, w in edges(p):
+                if d + w < cost.get(q, d + w + 1):
+                    cost[q] = d + w
+                    (dq.appendleft if w == 0 else dq.append)((d + w, q))
+        return cost
+
+    root, *rest = (comp[0] for comp in comps)
+    best = {1 << i: spread({t: 0}) for i, t in enumerate(rest)}
+    full = (1 << len(rest)) - 1
+    for mask in range(1, full + 1):
+        if mask not in best:
+            subs = [s for s in range(1, mask) if s & mask == s and s < mask ^ s]
+            best[mask] = spread({v: min(best[s][v] + best[mask ^ s][v] for s in subs) for v in nodes})
+    return flow + 2 * best[full][root]
+
+
+def test_steiner_length_matches_bfs_ball():
+    multi = 0
+    for dist, layer in ball_layers(S22, 6):
+        for _, g in layer:
+            assert _steiner_length(g.form) == dist
+            multi += len(magnus._support_components(g.form)[0]) >= 2
+    assert multi > 0
+    # five components: the star words are geodesics, shorter than any path
+    for k in (2, 3):
+        assert _steiner_length(S22.from_word(_star_word(k)).form) == len(_star_word(k))
+
+
+def _reference_component_distances(form):
+    """The 0/1 component distances of an S_{2,3} form from brute-force
+    S_{2,2} lengths: the nearest length between two components' vertices,
+    closed under shortest paths (the reduction that
+    test_depth3_component_distances_against_bfs checks against a search)."""
+    comps, verts = magnus._support_components(form)
+    m = len(comps)
+    D = [[0] * m for _ in range(m)]
+    for i, j in itertools.combinations(range(m), 2):
+        D[i][j] = D[j][i] = min(
+            _steiner_length(S22.multiply(S22.invert(verts[a]), verts[b]).form)
+            for a in comps[i] for b in comps[j]
+        )
+    for k, i, j in itertools.product(range(m), repeat=3):
+        D[i][j] = min(D[i][j], D[i][k] + D[k][j])
+    return D
+
+
+def _depth3_star_word(p=None):
+    """c p c p^-1 in S_{2,3}, with p the star word at k = 2 by default and
+    c the depth-2 commutator [[x1, x2], [x1, x2^-1]]: three flow-support
+    components, two of them joined through star-shaped elements of S_{2,2},
+    whose path-TSP length is too long (ROADMAP item 1)."""
     x1, x2 = gen(2, 1), gen(2, 2)
     c = commutator(commutator(x1, x2), commutator(x1, x2.inverse()))
-    p = _star_word(2)
+    p = _star_word(2) if p is None else p
     return c * p * c * p.inverse()
 
 
+def test_depth3_component_distances_bracket_brute_force():
+    # far and star-shaped base elements, beyond the reach of a search of
+    # Cay(S_{2,2}): the two matrices bracket the brute-force distances,
+    # and are them wherever they agree
+    S3 = solvable_group(2, 3)
+    rng = random.Random(23)
+    words = [_depth3_star_word()] + [_depth3_star_word(_loop_word(rng, m)) for m in (2, 3, 3, 4)]
+    words.append(_depth3_star_word(FreeWord(2, (1,) * 9)))
+    exact = 0
+    for w in words:
+        form = S3.from_word(w).form
+        comps, verts = magnus._support_components(form)
+        D, lower = magnus._zero_one_distances(form, comps, verts)
+        ref = _reference_component_distances(form)
+        assert all(lo <= r <= d for L, R, U in zip(lower, ref, D) for lo, r, d in zip(L, R, U))
+        if lower == D:
+            assert D == ref
+            exact += 1
+    assert 0 < exact < len(words)
+
+
 def test_depth3_connection_cost_through_a_star():
-    # the component distances are S_{2,2} lengths, read with no search of
-    # S_{2,2}'s Cayley graph, whose balls grow exponentially
+    # the star's S_{2,2} lengths read too long through the path-TSP, so the
+    # component distances take bounds that the brute force confirms: 30 is
+    # the true cost, but the lower bounds on the star's lengths stop at 25
     form = solvable_group(2, 3).from_word(_depth3_star_word()).form
     assert len(magnus._support_components(form)[0]) == 3
-    assert offsupport_connection_cost(form) == wreath.Measure.exactly(32)
+    assert _reference_component_distances(form) == [[0, 30, 1], [30, 0, 29], [1, 29, 0]]
+    assert offsupport_connection_cost(form) == (30, False, 25)
 
 
 def test_connection_cost_caps_raise():
-    # past travel_exact_max the base length of the star is only bounded,
-    # so the distances between the components cannot be read exactly
-    cfg = DEFAULT.with_(travel_exact_max=3)
-    form = solvable_group(2, 3, cfg).from_word(_depth3_star_word()).form
+    # a connection cost that its bounds leave open is flagged, and a
+    # distance in S_{2,3} that needs it raises rather than guess
+    S3 = solvable_group(2, 3)
+    g = S3.from_word(_depth3_star_word())
+    assert geodesic_length(g) == (88, False, 78)
     with pytest.raises(BeyondCapError):
-        offsupport_connection_cost(form, cfg)
+        S3.distance(S3.identity, g)
 
 
 @pytest.mark.parametrize("components, cap", [(3, 2), (6, 4)])
