@@ -2,7 +2,9 @@
 
 A handle supplies the identity, labelled generators, total multiply/invert,
 a canonical key (equal keys iff equal elements), an exact left-invariant
-word metric, order and power queries, a conjugacy decision with a
+word metric (``distance``, and ``distances`` for a whole row of it: the
+default loops over ``distance``, and handles with a closed form answer
+the row in one pass), order and power queries, a conjugacy decision with a
 conjugator, and for an infinite group a window of powers x^m that can lie
 within a given radius.  Shipped handles:
 
@@ -23,7 +25,7 @@ the same table, so concurrent readers are safe.
 import json
 from bisect import bisect_left
 from math import gcd, isqrt, lcm
-from operator import add
+from operator import add, sub
 
 from .config import DEFAULT, RunConfig
 from .words import FreeWord, identity as word_identity
@@ -38,7 +40,8 @@ class GroupHandle:
     # -- required operations -------------------------------------------
     # identity (attribute), generators(), multiply, invert, key, distance,
     # order, power_membership, conjugator, to_json, from_json, describe;
-    # infinite groups add distortion_window(x, n): a W with |x^m| > n for m > W
+    # infinite groups add distortion_window(x, n): a W with |x^m| > n for m > W.
+    # distances(a, points) is optional: the default below loops over distance
 
     def generators(self):
         raise NotImplementedError
@@ -53,6 +56,11 @@ class GroupHandle:
             g = gens[abs(let) - 1]
             acc = self.multiply(acc, g if let > 0 else self.invert(g))
         return acc
+
+    def distances(self, a, points) -> list:
+        """The row [distance(a, p) for p in points]; handles with a closed-form
+        metric override it to answer the row in one pass."""
+        return [self.distance(a, p) for p in points]
 
     def power(self, b, k: int):
         """b^k by iterated multiplication; handles override when closed forms exist."""
@@ -247,6 +255,15 @@ class ZrHandle(GroupHandle):
 
     def distance(self, a, b) -> int:
         return sum(abs(y - x) for x, y in zip(a, b))
+
+    def distances(self, a, points) -> list:
+        if self.r == 1:
+            (x,) = a
+            return [abs(p - x) for (p,) in points]
+        if self.r == 2:
+            x, y = a
+            return [abs(p - x) + abs(q - y) for p, q in points]
+        return [sum(map(abs, map(sub, p, a))) for p in points]
 
     def distortion_window(self, x, n: int) -> int:
         return n // self.distance(self.identity, x)  # |x^m| = m |x|
@@ -474,6 +491,10 @@ class HeisenbergHandle(GroupHandle):
 
     def distance(self, a, b) -> int:
         return self.norm(self.multiply(self.invert(a), b))
+
+    def distances(self, a, points) -> list:
+        inv, mul, norm = self.invert(a), self.multiply, self.norm
+        return [norm(mul(inv, p)) for p in points]
 
     def distortion_window(self, x, n: int) -> int:
         """|x^m| >= m(|a| + |b|) for x = (a, b, c); a central x^m = (0, 0, mc)

@@ -306,6 +306,11 @@ def travel_cost(B: GroupHandle, points, b, config: RunConfig = DEFAULT) -> Measu
     visiting every given point: path_tsp over the points, exact while
     their count stays within config.travel_exact_max or when the path
     found meets path_tsp's lower bound.
+
+    The matrix is read a row at a time through B.distances: the legs from
+    e and from b, and for each point the distances to the points after it,
+    so n points cost n(n-1)/2 + 2n distances; the lower triangle is copied
+    from the rows above it.
     """
     e = B.identity
     ekey, bkey = B.key(e), B.key(b)
@@ -319,14 +324,10 @@ def travel_cost(B: GroupHandle, points, b, config: RunConfig = DEFAULT) -> Measu
         pts.append(p)
     if not pts:
         return Measure.exactly(B.distance(e, b))
-    n = len(pts)
-    d0 = [B.distance(e, p) for p in pts]
-    dend = [B.distance(p, b) for p in pts]
-    D = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            D[i][j] = D[j][i] = B.distance(pts[i], pts[j])
-    return path_tsp(d0, D, dend, config)
+    D = []
+    for i, p in enumerate(pts):
+        D.append([row[i] for row in D] + [0] + B.distances(p, pts[i + 1 :]))
+    return path_tsp(B.distances(e, pts), D, B.distances(b, pts), config)
 
 
 def path_tsp(d0, D, dend, config: RunConfig = DEFAULT) -> Measure:
@@ -344,10 +345,15 @@ def path_tsp(d0, D, dend, config: RunConfig = DEFAULT) -> Measure:
     n = len(d0)
     if n <= config.travel_exact_max:
         return Measure.exactly(_path_tsp_exact(n, d0, D, dend))
-    lower = max(d0[i] + dend[i] for i in range(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            lower = max(lower, D[i][j] + min(d0[i] + dend[j], d0[j] + dend[i]))
+    lower = max(map(add, d0, dend))
+    for i in range(n - 1):
+        si, ti = d0[i], dend[i]
+        for dij, sj, tj in zip(D[i][i + 1 :], d0[i + 1 :], dend[i + 1 :]):
+            # the pair i, j in either order: dij + min(si + tj, sj + ti)
+            a, c = si + tj, sj + ti
+            cand = dij + (a if a < c else c)
+            if cand > lower:
+                lower = cand
     value = _path_tsp_heuristic(n, d0, D, dend)
     return Measure(value, value == lower, lower)
 
@@ -373,31 +379,43 @@ def _path_tsp_exact(n, d0, D, dend) -> int:
 
 
 def _path_tsp_heuristic(n, d0, D, dend) -> int:
-    # greedy nearest-neighbour start, then 2-opt segment reversals with
-    # O(1) delta evaluation (D is symmetric, so interior costs are unchanged)
+    # greedy nearest-neighbour start (ties to the smallest index: `left`
+    # stays ascending and min keeps the first minimum), then 2-opt segment
+    # reversals with O(1) delta evaluation (D is symmetric, so interior
+    # costs are unchanged)
     order = []
-    left = set(range(n))
-    cur = None
+    left = list(range(n))
+    row = d0
     while left:
-        nxt = min(left, key=lambda j: (d0[j] if cur is None else D[cur][j], j))
+        nxt = min(left, key=row.__getitem__)
         order.append(nxt)
         left.remove(nxt)
-        cur = nxt
+        row = D[nxt]
 
+    last = n - 1
     improved = True
     passes = 0
     while improved and passes < 80:
         improved = False
         passes += 1
-        for i in range(n - 1):
+        for i in range(last):
+            # prev: the row of legs into position i; reversing order[i..j]
+            # keeps order[i - 1] and changes order[i]
+            prev = d0 if i == 0 else D[order[i - 1]]
+            oi = order[i]
+            before, rowi = prev[oi], D[oi]
             for j in range(i + 1, n):
-                before = d0[order[i]] if i == 0 else D[order[i - 1]][order[i]]
-                after = dend[order[j]] if j == n - 1 else D[order[j]][order[j + 1]]
-                nbefore = d0[order[j]] if i == 0 else D[order[i - 1]][order[j]]
-                nafter = dend[order[i]] if j == n - 1 else D[order[i]][order[j + 1]]
-                if nbefore + nafter < before + after:
+                oj = order[j]
+                if j == last:
+                    after, nafter = dend[oj], dend[oi]
+                else:
+                    nx = order[j + 1]
+                    after, nafter = D[oj][nx], rowi[nx]
+                if prev[oj] + nafter < before + after:
                     order[i : j + 1] = order[i : j + 1][::-1]
                     improved = True
+                    oi = order[i]
+                    before, rowi = prev[oi], D[oi]
     total = d0[order[0]] + dend[order[-1]]
     for a, b2 in zip(order, order[1:]):
         total += D[a][b2]
@@ -405,10 +423,10 @@ def _path_tsp_heuristic(n, d0, D, dend) -> int:
 
 
 def lamp_weight(u: WreathElement) -> int:
-    """Sum of the lamp lengths |f(x)|_A over the support."""
+    """Sum of the lamp lengths |f(x)|_A over the support, read as one row
+    of A.distances from the identity."""
     A = u.lamp
-    e = A.identity
-    return sum(A.distance(e, val) for _, (_, val) in u.f.items())
+    return sum(A.distances(A.identity, [val for _, val in u.f.values()]))
 
 
 def w_length(u: WreathElement, config: RunConfig = DEFAULT) -> Measure:
@@ -420,11 +438,11 @@ def w_length_floor(u: WreathElement) -> int:
     """A sound floor under w_length(u).lower in either travel regime, in
     O(|Supp u|) distances: lamp weight plus the longest detour e -> p -> b
     through one point travel_cost visits (path_tsp's lower contains it).
-    It reads only distances that travel_cost reads for u."""
+    It reads two rows, from e and from b, that travel_cost also reads for u."""
     B, e, b = u.base, u.base.identity, u.b
     free = (B.key(e), B.key(b))  # visited for free, as in travel_cost
-    detours = (B.distance(e, p) + B.distance(p, b) for k, (p, _) in u.f.items() if k not in free)
-    return max(detours, default=0) + lamp_weight(u)
+    pts = [p for k, (p, _) in u.f.items() if k not in free]
+    return max(map(add, B.distances(e, pts), B.distances(b, pts)), default=0) + lamp_weight(u)
 
 
 # -- coset projections and conjugators ----------------------------------------

@@ -364,6 +364,14 @@ def test_clf_scan_deterministic():
     assert a == b
 
 
+def test_clf_scan_reaches_n_max_zero():
+    # every draw has u = e (zero generators) with probability 1/4, and then
+    # n = 0, so any n_max >= 0 is reachable and the scan ends
+    rows = clf_scan(Z1, Z2, samples=20, n_max=0, seed=3)
+    assert len(rows) == 20
+    assert all((r.n, r.measured, r.exact) == (0, 0, True) for r in rows)
+
+
 def test_inert_pairs_reduce_to_base_conjugacy():
     # lamp-free pairs over a nonabelian base: the minimal wreath conjugator
     # is a minimal base conjugator

@@ -5,7 +5,7 @@ import pytest
 
 from magnuskit import clf, magnus, wreath
 from magnuskit.cli import main
-from magnuskit.groups import ZrHandle
+from magnuskit.groups import HeisenbergHandle, ZrHandle
 from magnuskit.wreath import element_from_json
 from magnuskit.words import FreeWord, commutator, gen, to_json
 
@@ -234,6 +234,20 @@ FAMILY_ROWS = {
     ("z2", "x2^-1", "x1"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,1,34,1 4,52,20,0,52,1 "
     "5,76,30,0,76,1 6,102,42,0,102,1",
     ("central", "x1", "x2"): "1,5,4,1,5,1 2,10,8,1,10,1 3,15,12,1,15,1 4,20,16,1,20,1 5,25,20,1,25,1",
+    # the other six axis pairs the benchmark's z2 slots draw; rows at n >= 4
+    # run path_tsp's heuristic branch
+    ("z2", "x1", "x2^-1"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,1,34,1 4,52,20,0,52,1 "
+    "5,72,30,0,72,1 6,98,42,0,98,1",
+    ("z2", "x1^-1", "x2"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,1,34,1 4,52,20,0,52,1 "
+    "5,72,30,0,72,1 6,100,42,0,100,1",
+    ("z2", "x1^-1", "x2^-1"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,1,34,1 4,54,20,0,54,1 "
+    "5,74,30,0,74,1 6,102,42,0,102,1",
+    ("z2", "x2", "x1"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,1,34,1 4,52,20,0,52,1 "
+    "5,74,30,0,74,1 6,102,42,0,102,1",
+    ("z2", "x2", "x1^-1"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,1,34,1 4,54,20,0,54,1 "
+    "5,76,30,0,76,1 6,104,42,0,104,1",
+    ("z2", "x2^-1", "x1^-1"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,1,34,1 4,54,20,0,54,1 "
+    "5,76,30,0,76,1 6,104,42,0,104,1",
 }
 
 
@@ -246,6 +260,40 @@ def test_family_rows_are_pinned(capsys, kind, x, y):
     )
     assert code == 0
     assert out == "\n".join(["n,measured,bound,exact,witness_len,seed", *rows]) + "\n"
+
+
+HEIS_CENTRAL_ROWS = "1,0,0,1,0,1 2,0,0,1,0,1 3,0,0,1,0,1 4,8,4,1,8,1 5,8,4,1,8,1"
+
+
+@pytest.mark.parametrize("x", ["x1 x2 x1^-1 x2^-1", "x2 x1 x2^-1 x1^-1"])
+@pytest.mark.parametrize("y", ["x1", "x1^-1", "x2", "x2^-1"])
+def test_heisenberg_central_rows_are_pinned(capsys, x, y):
+    rows = HEIS_CENTRAL_ROWS.split()
+    code, out, _ = run(
+        capsys, "family", "--kind", "central", "--group", '{"kind":"heisenberg"}',
+        "--x", x, "--y", y, "--n-max", str(len(rows)), "--seed", "1",
+    )
+    assert code == 0
+    assert out == "\n".join(["n,measured,bound,exact,witness_len,seed", *rows]) + "\n"
+
+
+def test_heisenberg_central_scan_norm_budget(capsys, monkeypatch):
+    # travel reads each pair of points once (upper-triangle rows), so the
+    # Heisenberg closed form runs no more often than one norm per pair
+    calls = [0]
+    norm = HeisenbergHandle.norm
+
+    def counting(self, u):
+        calls[0] += 1
+        return norm(self, u)
+
+    monkeypatch.setattr(HeisenbergHandle, "norm", counting)
+    code, out, _ = run(
+        capsys, "family", "--kind", "central", "--group", '{"kind":"heisenberg"}',
+        "--x", "x1 x2 x1^-1 x2^-1", "--y", "x1", "--n-max", "8", "--seed", "1",
+    )
+    assert code == 0 and out.split()[-1] == "8,42,16,1,42,1"
+    assert calls[0] <= 4409
 
 
 def test_z2_family_builds_one_conjugator_per_scan(capsys, monkeypatch):

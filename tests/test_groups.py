@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -61,6 +62,33 @@ def test_metric_axioms_random(handle):
         assert dac <= dab + dbc
         assert left == dab  # left invariance
         assert (dab == 0) == (handle.key(a) == handle.key(b))
+
+
+ROW_HANDLES = [
+    ZrHandle(1),
+    ZrHandle(2),
+    ZrHandle(3),
+    ZNHandle(6),
+    PermHandle(3),
+    HeisenbergHandle(),
+    FreeHandle(2),
+    solvable_group(2, 2),
+    WreathGroup(ZrHandle(1), ZrHandle(2)),
+]
+
+
+@pytest.mark.parametrize("handle", ROW_HANDLES, ids=lambda h: json.dumps(h.describe()))
+def test_distance_rows_and_symmetry(handle):
+    # travel and lamp weight read rows d(a, p) and may read d(b, p) where a
+    # single distance would read d(p, b), so both the row operation and the
+    # symmetry of every shipped metric are pinned here
+    rng = random.Random(7)
+    for _ in range(25):
+        a = _random_element(handle, rng, steps=3)
+        pts = [_random_element(handle, rng, steps=3) for _ in range(rng.randint(0, 6))]
+        assert handle.distances(a, pts) == [handle.distance(a, p) for p in pts]
+        assert all(handle.distance(a, p) == handle.distance(p, a) for p in pts)
+    assert handle.distances(handle.identity, []) == []
 
 
 @pytest.mark.parametrize("handle", HANDLES, ids=lambda h: h.kind)

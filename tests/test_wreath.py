@@ -218,6 +218,105 @@ def test_path_tsp_certifies_only_optimal_values():
     assert beyond == {True, False}
 
 
+def _reference_heuristic(n, d0, D, dend) -> int:
+    # the pair-at-a-time nearest-neighbour + 2-opt path that path_tsp's
+    # row-walking heuristic must reproduce comparison for comparison
+    order = []
+    left = set(range(n))
+    cur = None
+    while left:
+        nxt = min(left, key=lambda j: (d0[j] if cur is None else D[cur][j], j))
+        order.append(nxt)
+        left.remove(nxt)
+        cur = nxt
+
+    improved = True
+    passes = 0
+    while improved and passes < 80:
+        improved = False
+        passes += 1
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                before = d0[order[i]] if i == 0 else D[order[i - 1]][order[i]]
+                after = dend[order[j]] if j == n - 1 else D[order[j]][order[j + 1]]
+                nbefore = d0[order[j]] if i == 0 else D[order[i - 1]][order[j]]
+                nafter = dend[order[i]] if j == n - 1 else D[order[i]][order[j + 1]]
+                if nbefore + nafter < before + after:
+                    order[i : j + 1] = order[i : j + 1][::-1]
+                    improved = True
+    total = d0[order[0]] + dend[order[-1]]
+    for a, b2 in zip(order, order[1:]):
+        total += D[a][b2]
+    return total
+
+
+def _reference_detour_bound(n, d0, D, dend) -> int:
+    lower = max(d0[i] + dend[i] for i in range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            lower = max(lower, D[i][j] + min(d0[i] + dend[j], d0[j] + dend[i]))
+    return lower
+
+
+def _large_metric_path_instance(rng):
+    """A path-TSP instance of 10-70 points: L1 distances in a box of Z^2,
+    thin or small enough that many legs tie (points may coincide), or for
+    up to 30 points the shortest-path closure of random edge weights; start
+    and end are free in about a third of them."""
+    n = rng.randint(10, 70)
+    if n <= 30 and rng.random() < 0.3:
+        d = [[0] * (n + 2) for _ in range(n + 2)]
+        for i, j in itertools.combinations(range(n + 2), 2):
+            d[i][j] = d[j][i] = rng.randint(1, 9)
+        for k, i, j in itertools.product(range(n + 2), repeat=3):
+            d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    else:
+        s, w = rng.choice([4, 8, 20]), rng.choice([0, 1, 3])
+        pts = [(rng.randint(-s, s), rng.randint(-w, w)) for _ in range(n + 2)]
+        d = [[abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in pts] for p in pts]
+    free = rng.random() < 0.3
+    d0 = [0] * n if free else d[0][1 : n + 1]
+    dend = [0] * n if free else d[n + 1][1 : n + 1]
+    return n, d0, [row[1 : n + 1] for row in d[1 : n + 1]], dend
+
+
+def test_path_tsp_heuristic_matches_the_pairwise_reference():
+    # the row-walking detour bound and heuristic make the same comparisons
+    # in the same order as the pair-at-a-time references, tie-breaks included
+    from magnuskit.wreath import path_tsp
+
+    rng = random.Random(23)
+    exact = set()
+    for _ in range(300):
+        n, d0, D, dend = _large_metric_path_instance(rng)
+        h = _reference_heuristic(n, d0, D, dend)
+        lo = _reference_detour_bound(n, d0, D, dend)
+        got = path_tsp(d0, D, dend, DEFAULT)
+        assert got == Measure(h, h == lo, lo)
+        exact.add(got.exact)
+    assert exact == {True, False}
+
+
+def test_travel_cost_reads_rows_only(monkeypatch):
+    # over Z^2 the whole matrix comes from ZrHandle.distances rows: no
+    # single-pair distance call, and m points make m + 2 rows
+    calls = {"distance": 0, "distances": 0}
+
+    def count(name):
+        fn = getattr(ZrHandle, name)
+
+        def wrapped(self, *args):
+            calls[name] += 1
+            return fn(self, *args)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(ZrHandle, name, count(name))
+    pts = [(i, (i * 7) % 5 - 2) for i in range(-6, 6)]
+    travel_cost(Z2, pts, (3, 3))
+    assert calls == {"distance": 0, "distances": len(pts) + 2}
+
+
 def test_travel_cost_heisenberg_base():
     # non-abelian base distances feed the same subset DP
     from magnuskit.groups import HeisenbergHandle
