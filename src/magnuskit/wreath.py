@@ -307,10 +307,12 @@ def travel_cost(B: GroupHandle, points, b, config: RunConfig = DEFAULT) -> Measu
     their count stays within config.travel_exact_max or when the path
     found meets path_tsp's lower bound.
 
-    The matrix is read a row at a time through B.distances: the legs from
-    e and from b, and for each point the distances to the points after it,
-    so n points cost n(n-1)/2 + 2n distances; the lower triangle is copied
-    from the rows above it.
+    The legs from e and the matrix are read a row at a time through
+    B.distances: d(e, p), and for each point the distances to the points
+    after it, the lower triangle copied from the rows above it.  The legs
+    into b are read one at a time as d(p, b): a metric whose exactness
+    rests on path_tsp (a wreath or free solvable base) can certify d(p, b)
+    and flag d(b, p).  n points cost n(n-1)/2 + 2n distances.
     """
     e = B.identity
     ekey, bkey = B.key(e), B.key(b)
@@ -327,7 +329,7 @@ def travel_cost(B: GroupHandle, points, b, config: RunConfig = DEFAULT) -> Measu
     D = []
     for i, p in enumerate(pts):
         D.append([row[i] for row in D] + [0] + B.distances(p, pts[i + 1 :]))
-    return path_tsp(B.distances(e, pts), D, B.distances(b, pts), config)
+    return path_tsp(B.distances(e, pts), D, [B.distance(p, b) for p in pts], config)
 
 
 def path_tsp(d0, D, dend, config: RunConfig = DEFAULT) -> Measure:
@@ -438,11 +440,13 @@ def w_length_floor(u: WreathElement) -> int:
     """A sound floor under w_length(u).lower in either travel regime, in
     O(|Supp u|) distances: lamp weight plus the longest detour e -> p -> b
     through one point travel_cost visits (path_tsp's lower contains it).
-    It reads two rows, from e and from b, that travel_cost also reads for u."""
+    It reads only distances that travel_cost reads for u, the legs from e
+    as one row."""
     B, e, b = u.base, u.base.identity, u.b
     free = (B.key(e), B.key(b))  # visited for free, as in travel_cost
     pts = [p for k, (p, _) in u.f.items() if k not in free]
-    return max(map(add, B.distances(e, pts), B.distances(b, pts)), default=0) + lamp_weight(u)
+    dend = [B.distance(p, b) for p in pts]
+    return max(map(add, B.distances(e, pts), dend), default=0) + lamp_weight(u)
 
 
 # -- coset projections and conjugators ----------------------------------------

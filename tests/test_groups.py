@@ -79,9 +79,10 @@ ROW_HANDLES = [
 
 @pytest.mark.parametrize("handle", ROW_HANDLES, ids=lambda h: json.dumps(h.describe()))
 def test_distance_rows_and_symmetry(handle):
-    # travel and lamp weight read rows d(a, p) and may read d(b, p) where a
-    # single distance would read d(p, b), so both the row operation and the
-    # symmetry of every shipped metric are pinned here
+    # rows equal the distance loop, and on these short elements every
+    # shipped metric is symmetric, as travel's matrix assumes when it copies
+    # its lower triangle (a wreath metric's exact flag is not symmetric
+    # beyond travel_exact_max: test_wreath.py::test_travel_legs_into_b_read_d_p_b)
     rng = random.Random(7)
     for _ in range(25):
         a = _random_element(handle, rng, steps=3)

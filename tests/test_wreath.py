@@ -36,6 +36,7 @@ from magnuskit.wreath import (
     w_conjugate,
     w_invert,
     w_length,
+    w_length_floor,
     w_multiply,
     w_power,
     wreath_element,
@@ -297,9 +298,10 @@ def test_path_tsp_heuristic_matches_the_pairwise_reference():
     assert exact == {True, False}
 
 
-def test_travel_cost_reads_rows_only(monkeypatch):
-    # over Z^2 the whole matrix comes from ZrHandle.distances rows: no
-    # single-pair distance call, and m points make m + 2 rows
+def test_travel_cost_reads_rows(monkeypatch):
+    # over Z^2 the legs from e and the matrix come from ZrHandle.distances
+    # rows, m points making m + 1 rows; only the m legs into b are single
+    # distance calls
     calls = {"distance": 0, "distances": 0}
 
     def count(name):
@@ -314,7 +316,28 @@ def test_travel_cost_reads_rows_only(monkeypatch):
         monkeypatch.setattr(ZrHandle, name, count(name))
     pts = [(i, (i * 7) % 5 - 2) for i in range(-6, 6)]
     travel_cost(Z2, pts, (3, 3))
-    assert calls == {"distance": 0, "distances": len(pts) + 2}
+    assert calls == {"distance": len(pts), "distances": len(pts) + 1}
+
+
+def test_travel_legs_into_b_read_d_p_b():
+    # a wreath metric's exact flag depends on direction: u travels its 11
+    # points from e to (6, 1) and path_tsp's heuristic misses the bound,
+    # while u^-1 travels them back and meets it.  With p a base move and
+    # b = p u^-1, d(b, p) = |u| raises and d(p, b) = |u^-1| = 26 is exact;
+    # travel and its floor read the leg as d(p, b), so neither raises
+    B = WreathGroup(Z, Z2)
+    support = [(-2, 1), (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (2, 0), (2, 1)]
+    u = wreath_element(Z, Z2, [(q, (1,)) for q in support], (6, 1))
+    assert (w_length(u), w_length(w_invert(u))) == (Measure(30, False, 26), Measure.exactly(26))
+    p = base_generator(Z, Z2, (1, 0))
+    b = w_multiply(p, w_invert(u))
+    with pytest.raises(BeyondCapError):
+        B.distance(b, p)
+    assert B.distance(p, b) == 26
+    assert travel_cost(B, [p], b) == Measure.exactly(27)
+    w = wreath_element(Z, B, [(p, (1,))], b)
+    assert w_length_floor(w) == 28
+    assert w_length(w) == Measure.exactly(28)
 
 
 def test_travel_cost_heisenberg_base():
