@@ -311,7 +311,7 @@ def travel_cost(B: GroupHandle, points, b, config: RunConfig = DEFAULT) -> Measu
     B.distances: d(e, p), and for each point the distances to the points
     after it, the lower triangle copied from the rows above it.  The legs
     into b are read one at a time as d(p, b): a metric whose exactness
-    rests on path_tsp (a wreath or free solvable base) can certify d(p, b)
+    rests on path_tsp (a wreath base, for one) can certify d(p, b)
     and flag d(b, p).  n points cost n(n-1)/2 + 2n distances.
     """
     e = B.identity
