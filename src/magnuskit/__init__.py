@@ -28,6 +28,7 @@ from .wreath import (
     WreathGroup,
     conjugacy_test,
     conjugator_for_z,
+    conjugators,
     pi_projection,
     travel_cost,
     upper_bound_formula,

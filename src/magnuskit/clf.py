@@ -12,8 +12,8 @@ The two families pin down lower bounds for conjugator length in A wr B:
   u = ({e, y} -> a, x) and v = ({x^-delta, x^delta y} -> a, x) is conjugate,
   but any conjugator carries at least 2*delta(n) lamps, where delta is the
   distortion of <x> at n.  Every conjugator's base part lies in <x>, which
-  the scan checks over the complete candidate set of
-  wreath.base_part_candidates before trusting its window of powers of x.
+  the scan reads off the witnesses of wreath.conjugators, one per
+  candidate base part, before trusting its window of powers of x.
 
 * Z^2 triangle family - for x, y spanning a copy of Z^2 in B, the pair
   u = (segment along <x> -> a, y) and v = (the diagonal shift -> a, y) is
@@ -22,9 +22,11 @@ The two families pin down lower bounds for conjugator length in A wr B:
   least n^2 + n from linearly sized inputs; the same check confirms that
   no base part outside <y> admits a conjugator.
 
-Both scans build one conjugator per n: the base part b of u has infinite
-order, so the conjugator at b^(k+1) is u times the one at b^k, and each
-stepped witness is verified.
+Both scans build one conjugator per candidate base part at each n, with
+wreath.conjugators: the base part b of u has infinite order, so the
+conjugator at b^(k+-1) is u^(+-1) times the one at b^k, and
+wreath.step_conjugators walks the window from the first witness at a
+power of b, verifying each step.
 
 Scans are seed-deterministic; CSV rows carry the seed.
 """
@@ -41,11 +43,11 @@ from .wreath import (
     Measure,
     WreathElement,
     WreathGroup,
-    base_part_candidates,
     conjugacy_test,
-    conjugator_for_z,
+    conjugators,
     identity_element,
     is_inert,
+    step_conjugators,
     upper_bound_formula,
     w_conjugate,
     w_length,
@@ -63,7 +65,6 @@ class ScanRow:
     exact: bool
     witness_len: int
     seed: int
-    note: str = ""
 
 
 CSV_HEADER = "n,measured,bound,exact,witness_len,seed"
@@ -110,7 +111,7 @@ def distortion_scan(B: GroupHandle, x, n_max: int, seed: int = 0) -> list[ScanRo
     power."""
     deltas = _distortions(B, x, n_max)
     return [
-        ScanRow(n, deltas[n], 2 * n, True, deltas[n], seed, "distortion")
+        ScanRow(n, deltas[n], 2 * n, True, deltas[n], seed)
         for n in range(1, n_max + 1)
     ]
 
@@ -224,42 +225,30 @@ class MinScanResult:
     bound: int
 
 
-def _offfamily_clean(inst: FamilyInstance, g) -> bool:
-    """True when every base part admitting a conjugator of the family pair
-    lies in <g>, g being the pair's base part.  The pair is not inert, so
-    every such base part is a power of g times a candidate of
-    base_part_candidates, and checking the candidates decides it."""
-    return all(
-        inst.u.base.power_membership(z, g) is not None
-        for z in base_part_candidates(inst.u, inst.v)
-        if conjugator_for_z(inst.u, inst.v, z) is not None
-    )
-
-
 def _min_conjugator(inst: FamilyInstance, ks, key, config: RunConfig):
     """Over the base parts b^k, b = inst.u.b and k in ks in order: the
     length of the first verified conjugator minimal under ``key``, or None;
-    the lengths measured; the conjugator count.
+    the lengths measured; the conjugator count; and whether every base
+    part that admits a conjugator lies in <b>.
 
-    b must have infinite order.  Then a conjugator (h, e) that centralises
-    u has h trivial, so the conjugator at b^(k+1) is u times the one at b^k:
-    conjugator_for_z runs once, at the smallest k, and each step is
-    verified against u w = w v.  Witnesses are measured in
-    (w_length_floor, index) order up to the first floor strictly above the
-    best key: key(m) >= m.lower >= floor, so no unmeasured witness beats or
-    ties the best, and the answer is a measure-everything ``min``'s."""
+    The pair is not inert, so every conjugator is a power of u times a
+    witness of wreath.conjugators, one per candidate base part: the
+    witnesses' base parts decide the last answer, and the first witness at
+    a power b^j is stepped along <b> (step_conjugators, which needs b of
+    infinite order) over ks.  No power of b admits a conjugator when no
+    witness lies at one.  Witnesses are measured in (w_length_floor,
+    index) order up to the first floor strictly above the best key:
+    key(m) >= m.lower >= floor, so no unmeasured witness beats or ties the
+    best, and the answer is a measure-everything ``min``'s."""
     u, v = inst.u, inst.v
-    B = u.base
-    if B.order(u.b) is not None:
-        raise ValueError("stepping conjugators along <b> needs b of infinite order")
+    found = [(u.base.power_membership(w.b, u.b), w) for w in conjugators(u, v)]
     by_k = {}
-    w = conjugator_for_z(u, v, B.power(u.b, min(ks)))
+    j, w = next(((j, w) for j, w in found if j is not None), (None, None))
     if w is not None:
-        for k in range(min(ks), max(ks) + 1):
-            by_k[k] = w
-            w = w_multiply(u, w)  # the conjugator at b^(k+1)
-            if w != w_multiply(by_k[k], v):
-                raise InvariantViolation("stepped conjugator failed verification")
+        lo, hi = min(min(ks), j), max(max(ks), j)
+        by_k = {j: w}
+        by_k.update(zip(range(j + 1, hi + 1), step_conjugators(u, v, w, hi - j)))
+        by_k.update(zip(range(j - 1, lo - 1, -1), step_conjugators(u, v, w, lo - j)))
     witnesses = [by_k[k] for k in ks if k in by_k]
     best, measured = (float("inf"), -1, None), []  # best: (key, index, length)
     for floor, i in sorted((w_length_floor(w), i) for i, w in enumerate(witnesses)):
@@ -268,7 +257,7 @@ def _min_conjugator(inst: FamilyInstance, ks, key, config: RunConfig):
         m = w_length(witnesses[i], config)
         measured.append(m)
         best = min(best, (key(m), i, m))  # indices differ: lengths are never compared
-    return best[2], measured, len(witnesses)
+    return best[2], measured, len(witnesses), all(j is not None for j, _ in found)
 
 
 def central_family_min_conjugator(
@@ -289,8 +278,7 @@ def central_family_min_conjugator(
     B = spec.B
     window = inst.delta + n + 2
     ks = sorted(range(-window, window + 1), key=lambda k: B.key(B.power(spec.x, k)))
-    min_len, measured, count = _min_conjugator(inst, ks, lambda m: m.value, config)
-    offfamily_clean = _offfamily_clean(inst, spec.x)
+    min_len, measured, count, offfamily_clean = _min_conjugator(inst, ks, lambda m: m.value, config)
     bound = 4 * inst.delta
     # the family's reason for existing: the shortest conjugator is at least
     # four times the distortion; the sound lower field makes this safe to
@@ -358,8 +346,8 @@ def z2_min_conjugator(spec: FamilySpec, n: int, config: RunConfig = DEFAULT) -> 
     the ``lower`` fields stay sound and carry the quadratic bound.
     """
     inst = z2_triangle_family(spec, n, config)
-    min_len, _, count = _min_conjugator(inst, range(-3 * n, 3 * n + 1), lambda m: m.lower, config)
-    offfamily_clean = _offfamily_clean(inst, spec.y)
+    ks = range(-3 * n, 3 * n + 1)
+    min_len, _, count, offfamily_clean = _min_conjugator(inst, ks, lambda m: m.lower, config)
     bound = n * n + n
     # quadratic growth from linear inputs; the lamp count alone carries it,
     # so the sound lower field suffices even when travel is heuristic
@@ -424,30 +412,13 @@ def clf_scan(
         if witness is None:
             raise InvariantViolation("constructed conjugate pair lost its conjugator")
         wlen = w_length(witness, config)
-        order = B.order(u.b)
-        if is_inert(u):
-            # only the base part B.conjugator(b, c) moves: the identity in
-            # abelian B, some conjugator (not always a shortest) otherwise
-            P = n
-        else:
-            P = 7 * n
-        if order is None:
-            bound = upper_bound_formula(n, P)
-        else:
-            bound = upper_bound_formula(n, P, order=order)
+        # an inert pair moves only the base part B.conjugator(b, c): the
+        # identity in abelian B, some conjugator (not always a shortest) otherwise
+        P = n if is_inert(u) else 7 * n
+        bound = upper_bound_formula(n, P, order=B.order(u.b))
         if wlen.exact and wlen.value > bound:
             raise InvariantViolation(
                 f"observed conjugator length {wlen.value} exceeds bound {bound} at n={n}"
             )
-        rows.append(
-            ScanRow(
-                n=n,
-                measured=wlen.value,
-                bound=bound,
-                exact=wlen.exact,
-                witness_len=wlen.value,
-                seed=seed,
-                note="clf",
-            )
-        )
+        rows.append(ScanRow(n, wlen.value, bound, wlen.exact, wlen.value, seed))
     return rows

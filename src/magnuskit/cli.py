@@ -160,17 +160,8 @@ def cmd_family(args, cfg):
         else:
             scan = z2_min_conjugator(spec, n, config=cfg)
         measured = scan.min_length.value if scan.min_length else -1
-        rows.append(
-            ScanRow(
-                n=n,
-                measured=measured,
-                bound=scan.bound,
-                exact=bool(scan.min_length and scan.min_length.exact),
-                witness_len=measured,
-                seed=args.seed,
-                note=args.kind,
-            )
-        )
+        exact = bool(scan.min_length and scan.min_length.exact)
+        rows.append(ScanRow(n, measured, scan.bound, exact, measured, args.seed))
     _emit_rows(rows, args.format)
     return 0
 

@@ -33,7 +33,6 @@ orders the components with the path-TSP kernel of the wreath metric
 """
 
 from functools import lru_cache
-from itertools import chain
 
 from .config import DEFAULT, RunConfig
 from .errors import BeyondCapError, InvariantViolation
@@ -43,9 +42,8 @@ from .wreath import (
     FormKey,
     Measure,
     WreathElement,
-    base_part_candidates,
     conjugacy_test,
-    conjugator_for_z,
+    conjugators,
     path_tsp,
     w_invert,
     w_length,
@@ -446,20 +444,21 @@ class SolvableGroup(GroupHandle):
     def conjugator(self, b: SolvableElement, c: SolvableElement):
         """Some z with b z = z c, as a word, or None.
 
-        solvable_conjugacy_test decides.  If b's base part is e, the lift
-        P_z of its witness's base part conjugates.  Otherwise the first
-        candidate conjugator w = (h, z) of the Magnus forms that is an image
-        (divergence delta_e - delta_z) is spelled as
+        One walk over wreath.conjugators of the Magnus forms decides.  If
+        b's base part is e, the lift P_z of the first witness's base part
+        conjugates.  Otherwise the first witness w = (h, z) that is an
+        image (divergence delta_e - delta_z) is spelled as
         prod (P_q x_i P_{q x_i}^-1)^{v_i} * P_z over its flow cells, with
         one word P_q per vertex, empty at e, so the detours telescope.
         Images other than e are never inert, and for b != e some
-        candidate's conjugator is an image, so the search is complete.  The
+        candidate's conjugator is an image, so the walk is complete.  The
         word is re-embedded and verified before being returned.
         """
-        res = solvable_conjugacy_test(b, c)
-        if not res.conjugate:
-            return None
         u, v, Q = b.form, c.form, self.base
+        found = conjugators(u, v)
+        w = next(found, None)
+        if w is None:
+            return None
         ekey = Q.key(Q.identity)
         gens = [g for _, g in Q.generators()]
         words = {ekey: word_identity(self.r)}
@@ -470,28 +469,21 @@ class SolvableGroup(GroupHandle):
             )
             return words.setdefault(Q.key(q), word)
 
-        def is_image(w):
-            zk = Q.key(w.b)
-            return divergence_of(w) == ({} if zk == ekey else {ekey: 1, zk: -1})
+        def is_image(x):
+            zk = Q.key(x.b)
+            return divergence_of(x) == ({} if zk == ekey else {ekey: 1, zk: -1})
 
-        def image_word():
-            if Q.key(u.b) == ekey:
-                return P(res.witness.b)
-            # the decision's witness is the first candidate's conjugator:
-            # search the candidates only when it is not an image
-            found = (conjugator_for_z(u, v, z) for z in base_part_candidates(u, v))
-            w = next((w for w in chain([res.witness], found) if w is not None and is_image(w)), None)
+        word = word_identity(self.r)
+        if Q.key(u.b) != ekey:
+            w = w if is_image(w) else next(filter(is_image, found), None)
             if w is None:
                 raise InvariantViolation("conjugate pair has no image conjugator")
-            word = word_identity(self.r)
             for q, vec in w.f.values():
                 for i, (g, n) in enumerate(zip(gens, vec), 1):
                     if n:
                         loop = P(q) * FreeWord(self.r, (i,)) * P(Q.multiply(q, g)).inverse()
                         word = word * loop.power(n)
-            return word * P(w.b)
-
-        z = self.from_word(image_word())
+        z = self.from_word(word * P(w.b))
         if self.key(self.multiply(b, z)) != self.key(self.multiply(z, c)):
             raise InvariantViolation("spelled conjugator failed verification")
         return z

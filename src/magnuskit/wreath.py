@@ -32,17 +32,16 @@ every coset (equality for b of infinite order, A-conjugacy for finite
 order), and the conjugator (h, z) is assembled from prefix products along
 each coset.  Since bz = zc, z carries g's coset <c>t' onto <b>zt' with
 exponents unchanged, so matching the two tables costs one membership
-query per pair of cosets tried.  For b of infinite order the conjugator
-with a given base part is unique (a centraliser element (h, e) of
-(f, b) has h trivial), so the one at b^k z is (f, b)^k times the one at
-z: the family scans of the clf module step along <b> instead of solving
-every power again.
-One generator, base_part_candidates, supplies the base parts z to try: a
-conjugator must carry a nontrivially projecting coset of g onto a coset
-through Supp f, which leaves at most |Supp f| candidates up to powers of b,
-and pairs whose projections are all trivial reduce to conjugacy in B.
-Every returned conjugator is re-verified against u*(h,z) = (h,z)*v, so a
-wrong ordering convention cannot pass silently.
+query per pair of cosets tried.
+One generator, conjugators, yields the verified conjugator of each base
+part of base_part_candidates that admits one: a conjugator must carry a
+nontrivially projecting coset of g onto a coset through Supp f, which
+leaves at most |Supp f| candidates up to powers of b, and pairs whose
+projections are all trivial reduce to conjugacy in B.  For b of infinite
+order the conjugator with a given base part is unique (a centraliser
+element (h, e) of (f, b) has h trivial), so the one at b^k z is
+(f, b)^k times the one at z, and step_conjugators walks along <b> from a
+witness.  Every conjugator is verified against u*(h,z) = (h,z)*v.
 
 An element's key is a FormKey: the pair of its base key and the
 frozenset of its (position key, lamp key) cells.  A frozenset caches its
@@ -540,10 +539,6 @@ def conjugator_for_z(u: WreathElement, v: WreathElement, z) -> Optional[WreathEl
     finite support and takes alpha = 1; the finite-order-N case takes the
     alpha = A.conjugator of the full coset products.  The returned element
     is verified before being returned.
-
-    For b of infinite order the conjugator at b^k z is u^k times the one at
-    z: a conjugator (h, e) that centralises u has h trivial, so the
-    conjugator for a base part is unique.
     """
     _check_groups(u, v)
     A, B = u.lamp, u.base
@@ -668,32 +663,80 @@ def _base_parts(u: WreathElement, v: WreathElement, p):
             yield z
 
 
-def conjugacy_test(u: WreathElement, v: WreathElement) -> ConjugacyResult:
-    """Decide conjugacy of u and v in A wr B by trying the base parts of
-    base_part_candidates: at most |Supp u| of them for pairs that are not
-    conjugate to a lamp-free element, and one conjugator of the base parts
-    in B for pairs that are.  Lamp conjugators of finite-order base parts
-    come from A.conjugator, so the decision recurses into A and B and is
-    always complete; the returned result records which case decided it.
-    """
-    _check_groups(u, v)
+def _decision_case(u: WreathElement, v: WreathElement):
+    """(case, p), p = _projecting_point(v) found once: an order or
+    projection mismatch rules conjugacy out, and "inert-base" or "scan"
+    names the candidate set that decides it."""
     B = u.base
     if B.order(u.b) != B.order(v.b):
-        return ConjugacyResult(False, None, True, "order-mismatch")
-
+        return "order-mismatch", None
     inert = is_inert(u)
     p = _projecting_point(v)
     if inert != (p is None):
-        return ConjugacyResult(False, None, True, "projection-mismatch")
+        return "projection-mismatch", p
+    return ("inert-base" if inert else "scan"), p
 
-    case = "inert-base" if inert else "scan"
+
+def _conjugators(u: WreathElement, v: WreathElement, case: str, p):
+    """conjugators with _decision_case(u, v) already found."""
+    if case.endswith("mismatch"):
+        return
     for z in _base_parts(u, v, p):
         witness = conjugator_for_z(u, v, z)
         if witness is not None:
-            return ConjugacyResult(True, witness, True, case)
-        if inert:
+            yield witness
+        elif p is None:
             raise InvariantViolation("inert pair lost its base conjugator")
-    return ConjugacyResult(False, None, True, case if inert else "scan-exhausted")
+
+
+def conjugators(u: WreathElement, v: WreathElement):
+    """Yield the verified conjugator conjugator_for_z(u, v, z) for each base
+    part z of base_part_candidates that admits one, in that order, and
+    nothing on an order or projection mismatch.  Lazy: a caller that stops
+    at a witness builds no conjugator past it."""
+    _check_groups(u, v)
+    return _conjugators(u, v, *_decision_case(u, v))
+
+
+def step_conjugators(u: WreathElement, v: WreathElement, w: WreathElement, steps: int) -> list:
+    """The conjugators at base parts b^k z, b = u.b, for k = 1 .. steps
+    (k = -1 .. steps when steps < 0), w being the one at z.
+
+    b must have infinite order, so that the conjugator at a base part is
+    unique and the one at b^(k+-1) z is u^(+-1) times the one at b^k z;
+    over a finite-order b the lamp conjugator alpha is free, and the walk
+    is refused before it builds anything.  Each step is verified: the
+    upper of the two conjugators it joins, u times the lower, must equal
+    the lower times v.
+    """
+    if u.base.order(u.b) is not None:
+        raise ValueError("stepping conjugators along <b> needs b of infinite order")
+    move = u if steps > 0 else w_invert(u)
+    walked = []
+    for _ in range(abs(steps)):
+        nxt = w_multiply(move, w)
+        lower, upper = (w, nxt) if steps > 0 else (nxt, w)
+        if w_multiply(lower, v) != upper:
+            raise InvariantViolation("stepped conjugator failed verification")
+        walked.append(nxt)
+        w = nxt
+    return walked
+
+
+def conjugacy_test(u: WreathElement, v: WreathElement) -> ConjugacyResult:
+    """Decide conjugacy of u and v in A wr B by the first witness of
+    conjugators: at most |Supp u| base parts are tried for pairs that are
+    not conjugate to a lamp-free element, and one conjugator of the base
+    parts in B for pairs that are.  Lamp conjugators of finite-order base
+    parts come from A.conjugator, so the decision recurses into A and B and
+    is always complete; the returned result records which case decided it.
+    """
+    _check_groups(u, v)
+    case, p = _decision_case(u, v)
+    witness = next(_conjugators(u, v, case, p), None)
+    if witness is None and case == "scan":
+        case = "scan-exhausted"
+    return ConjugacyResult(witness is not None, witness, True, case)
 
 
 def upper_bound_formula(n: int, P: int, delta=None, order=None) -> int:

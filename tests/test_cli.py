@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from magnuskit import clf, magnus, wreath
+from magnuskit import magnus, wreath
 from magnuskit.cli import main
+from magnuskit.clf import CSV_HEADER
 from magnuskit.groups import HeisenbergHandle, ZrHandle
 from magnuskit.wreath import element_from_json
 from magnuskit.words import FreeWord, commutator, gen, to_json
@@ -119,7 +120,6 @@ def test_wreath_conj_inert_pair_over_free_solvable_base(capsys, monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(wreath, "conjugator_for_z", counting)
-    monkeypatch.setattr(magnus, "conjugator_for_z", counting)
     code, out, _ = run(
         capsys, "wreath-conj", _lamp_free([1, 1]), _lamp_free([1, 2]),
         "--lamp", '{"kind":"Zr","r":1}', "--base", S22_DESC,
@@ -297,9 +297,10 @@ def test_heisenberg_central_scan_norm_budget(capsys, monkeypatch):
 
 
 def test_z2_family_builds_one_conjugator_per_scan(capsys, monkeypatch):
-    # the scan steps its witnesses along <y> from one conjugator_for_z call;
-    # the off-family check tries each of the 13 candidates, and every
-    # support is sorted into cosets once per element
+    # conjugators builds one conjugator per candidate, 13 of them; the
+    # off-family check reads their base parts and the scan steps the first
+    # at a power of y along <y>, and every support is sorted into cosets
+    # once per element
     calls = {"conjugator_for_z": 0, "_coset_j": 0}
 
     def counting(name, fn):
@@ -310,14 +311,13 @@ def test_z2_family_builds_one_conjugator_per_scan(capsys, monkeypatch):
 
     build = counting("conjugator_for_z", wreath.conjugator_for_z)
     monkeypatch.setattr(wreath, "conjugator_for_z", build)
-    monkeypatch.setattr(clf, "conjugator_for_z", build)
     monkeypatch.setattr(wreath, "_coset_j", counting("_coset_j", wreath._coset_j))
     code, out, _ = run(
         capsys, "family", "--kind", "z2", "--group", '{"kind":"Zr","r":2}',
         "--x", "[1]", "--y", "[2]", "--n-min", "6", "--n-max", "6", "--seed", "1",
     )
     assert code == 0 and out.split()[-1] == "6,100,42,0,100,1"
-    assert calls["conjugator_for_z"] <= 14
+    assert calls["conjugator_for_z"] <= 13
     assert calls["_coset_j"] <= 1500
 
 
@@ -339,6 +339,29 @@ def test_clf_scan_command(capsys):
     assert code == 0
     lines = out.strip().split("\n")
     assert len(lines) == 6
+
+
+# the README's clf-scan example: one row per sampled conjugate pair
+README_CLF_ROWS = (
+    "4,0,7980,1,0,7 0,0,0,1,0,7 6,3,24990,1,3,7 0,0,0,1,0,7 0,0,0,1,0,7 2,0,30,1,0,7 "
+    "4,1,504,1,1,7 6,0,546,1,0,7 4,1,504,1,1,7 0,0,0,1,0,7 0,0,0,1,0,7 4,1,180,1,1,7 "
+    "4,1,180,1,1,7 4,0,180,1,0,7 4,0,7980,1,0,7 10,4,108570,1,4,7 0,0,0,1,0,7 10,4,2310,1,4,7 "
+    "6,0,24990,1,0,7 0,0,0,1,0,7 8,4,56952,1,4,7 0,0,0,1,0,7 2,0,30,1,0,7 2,0,30,1,0,7 "
+    "2,0,30,1,0,7 6,1,546,1,1,7 0,0,0,1,0,7 4,1,180,1,1,7 6,0,24990,1,0,7 10,3,2310,1,3,7 "
+    "0,0,0,1,0,7 10,3,108570,1,3,7 4,1,504,1,1,7 4,1,504,1,1,7 0,0,0,1,0,7 2,0,30,1,0,7 "
+    "4,0,7980,1,0,7 8,5,1224,1,5,7 10,4,2310,1,4,7 2,0,30,1,0,7 6,2,1092,1,2,7 6,0,1092,1,0,7 "
+    "6,3,546,1,3,7 0,0,0,1,0,7 4,0,180,1,0,7 4,1,180,1,1,7 4,1,504,1,1,7 6,0,24990,1,0,7 "
+    "0,0,0,1,0,7 6,1,546,1,1,7"
+)
+
+
+def test_readme_clf_scan_rows_are_pinned(capsys):
+    code, out, _ = run(
+        capsys, "clf-scan", "--lamp", '{"kind":"Zr","r":1}', "--base", '{"kind":"Zr","r":2}',
+        "--samples", "50", "--n-max", "10", "--seed", "7",
+    )
+    assert code == 0
+    assert out == "\n".join([CSV_HEADER, *README_CLF_ROWS.split()]) + "\n"
 
 
 def test_clf_scan_rejects_a_negative_n_max(capsys):
@@ -486,6 +509,7 @@ def test_config_file_and_json_format(capsys, tmp_path):
     assert code == 0
     rows = json.loads(out)
     assert rows[0]["n"] == 1 and rows[0]["measured"] == 1
+    assert all(list(row) == CSV_HEADER.split(",") for row in rows)
 
 
 @pytest.mark.parametrize(

@@ -788,7 +788,6 @@ def test_solvable_conjugator_reuses_an_image_witness(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(wreath, "conjugator_for_z", counting)
-    monkeypatch.setattr(magnus, "conjugator_for_z", counting)
     for S in (S22, solvable_group(2, 3)):
         for letters, g in (((1,), (2, 1)), ((1, 2), (2,)), ((1, 1, 2), (2, -1))):
             u = S.from_word(FreeWord(2, letters))

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from magnuskit import wreath
 from magnuskit.config import DEFAULT
 from magnuskit.errors import BeyondCapError
 from magnuskit.clf import random_wreath_element
@@ -25,12 +26,14 @@ from magnuskit.wreath import (
     base_part_candidates,
     conjugacy_test,
     conjugator_for_z,
+    conjugators,
     element_from_json,
     element_to_json,
     identity_element,
     is_inert,
     lamp_generator,
     pi_projection,
+    step_conjugators,
     travel_cost,
     upper_bound_formula,
     w_conjugate,
@@ -735,7 +738,9 @@ def test_conjugacy_heisenberg_lamp_finite_base():
 )
 def test_conjugators_step_along_the_base_part(base):
     # for b of infinite order the conjugator at base part b^k z is u^k times
-    # the one at z, as an element and in its JSON form
+    # the one at z, as an element and in its JSON form, and step_conjugators
+    # walks to it from z in either direction; conjugators yields the
+    # candidates' conjugators in candidate order
     rng = random.Random(71)
 
     def element(lamps, n):
@@ -749,18 +754,38 @@ def test_conjugators_step_along_the_base_part(base):
         if base.order(u.b) is None:
             gamma = element(rng.randint(0, 3), rng.randint(0, 3))
             v = w_conjugate(u, gamma)
-            for z in [*base_part_candidates(u, v), gamma.b]:
-                w = conjugator_for_z(u, v, z)
+            candidates = list(base_part_candidates(u, v))
+            built = [conjugator_for_z(u, v, z) for z in candidates]
+            assert list(conjugators(u, v)) == [w for w in built if w is not None]
+            for z, w in zip([*candidates, gamma.b], [*built, conjugator_for_z(u, v, gamma.b)]):
+                if w is not None:
+                    walked = dict(zip(range(1, 4), step_conjugators(u, v, w, 3)))
+                    walked.update(zip(range(-1, -3, -1), step_conjugators(u, v, w, -2)))
                 for k in range(-2, 4):
                     stepped = conjugator_for_z(u, v, base.multiply(base.power(u.b, k), z))
                     if w is None:
                         assert stepped is None
                         continue
                     expected = w_multiply(w_power(u, k), w)
-                    assert stepped == expected
+                    assert stepped == expected == walked.get(k, w)
                     assert element_to_json(stepped) == element_to_json(expected)
                     steps += 1
     assert steps
+
+
+def test_stepping_rejects_a_finite_order_base_part(monkeypatch):
+    # over Z/3 a conjugator at b^k is not u^k times the one at e: the lamp
+    # conjugator alpha is free, so the walk along <b> is refused before it
+    # builds anything
+    built = []
+    monkeypatch.setattr(wreath, "conjugator_for_z", lambda *args: built.append(args))
+    monkeypatch.setattr(wreath, "w_multiply", lambda *args: built.append(args))
+    B = ZNHandle(3)
+    u = wreath_element(Z, B, [(0, (1,))], 1)
+    for steps in (2, -1):
+        with pytest.raises(ValueError, match="infinite order"):
+            step_conjugators(u, u, u, steps)
+    assert not built
 
 
 def _decision_digest():
