@@ -487,7 +487,11 @@ def run_check(name):
 
 def run_all(names=None, report=print):
     """Run the acceptance suite, printing one pass/fail line per criterion.
-    Returns True when everything passed."""
+    Returns True when everything passed; unknown names are rejected
+    before anything runs."""
+    unknown = sorted(set(names or ()) - {name for name, _, _ in ACCEPTANCE})
+    if unknown:
+        raise ValueError(f"unknown check names: {', '.join(unknown)}")
     ok_all = True
     for name, _, budget in ACCEPTANCE:
         if names and name not in names:

@@ -11,22 +11,22 @@ The two families pin down lower bounds for conjugator length in A wr B:
   commuting with x whose square stays outside <x>, the pair
   u = ({e, y} -> a, x) and v = ({x^-delta, x^delta y} -> a, x) is conjugate,
   but any conjugator carries at least 2*delta(n) lamps, where delta is the
-  distortion of <x> at n.  Every conjugator's base part lies in <x>, which
-  the scan reads off the witnesses of wreath.conjugators, one per
-  candidate base part, before trusting its window of powers of x.
+  distortion of <x> at n.
 
 * Z^2 triangle family - for x, y spanning a copy of Z^2 in B, the pair
   u = (segment along <x> -> a, y) and v = (the diagonal shift -> a, y) is
   conjugate only through base parts y^k, and the conjugator lamps fill a
   triangle with quadratically many cells, giving a conjugator length of at
-  least n^2 + n from linearly sized inputs; the same check confirms that
-  no base part outside <y> admits a conjugator.
+  least n^2 + n from linearly sized inputs.
 
-Both scans build one conjugator per candidate base part at each n, with
-wreath.conjugators: the base part b of u has infinite order, so the
-conjugator at b^(k+-1) is u^(+-1) times the one at b^k, and
-wreath.step_conjugators walks the window from the first witness at a
-power of b, verifying each step.
+Both scans find the shortest conjugator the same way (_min_conjugator).
+The base part b of u has infinite order and the pair is not inert, so
+every conjugator is a power of u times one of the witnesses of
+wreath.conjugators, one per candidate base part; their base parts tell
+whether every conjugator's base part lies in <b> (offfamily_clean).  From
+the first witness w at a power of b, wreath.step_conjugators walks u^k w
+out to the radius wreath.step_radius proves, past which every conjugator
+is longer than w.
 
 Scans are seed-deterministic; CSV rows carry the seed.
 """
@@ -48,6 +48,7 @@ from .wreath import (
     identity_element,
     is_inert,
     step_conjugators,
+    step_radius,
     upper_bound_formula,
     w_conjugate,
     w_length,
@@ -214,10 +215,11 @@ def central_family(spec: FamilySpec, n: int, config: RunConfig = DEFAULT) -> Fam
 
 @dataclass
 class MinScanResult:
-    """A family scan at one n: the first minimal witness length in scan
-    order (None without witnesses), the count of verified conjugators in
-    the window, whether no base part outside the family's cyclic subgroup
-    admits one, and the bound asserted (4*delta central, n^2 + n z2)."""
+    """A family scan at one n: the shortest verified conjugator's length
+    along the family's cyclic subgroup, the first in ascending power on a
+    tie (None without witnesses), the count of conjugators stepped,
+    whether no base part outside that subgroup admits one, and the bound
+    asserted (4*delta central, n^2 + n z2)."""
 
     min_length: Optional[Measure]
     witnesses: int
@@ -225,39 +227,42 @@ class MinScanResult:
     bound: int
 
 
-def _min_conjugator(inst: FamilyInstance, ks, key, config: RunConfig):
-    """Over the base parts b^k, b = inst.u.b and k in ks in order: the
-    length of the first verified conjugator minimal under ``key``, or None;
-    the lengths measured; the conjugator count; and whether every base
-    part that admits a conjugator lies in <b>.
+def _min_conjugator(inst: FamilyInstance, bound: int, config: RunConfig) -> MinScanResult:
+    """The family's scan result: the shortest conjugator (by value) at a
+    power of b = inst.u.b, raising when a measured lower bound is below
+    ``bound``.
 
-    The pair is not inert, so every conjugator is a power of u times a
-    witness of wreath.conjugators, one per candidate base part: the
-    witnesses' base parts decide the last answer, and the first witness at
-    a power b^j is stepped along <b> (step_conjugators, which needs b of
-    infinite order) over ks.  No power of b admits a conjugator when no
-    witness lies at one.  Witnesses are measured in (w_length_floor,
-    index) order up to the first floor strictly above the best key:
-    key(m) >= m.lower >= floor, so no unmeasured witness beats or ties the
-    best, and the answer is a measure-everything ``min``'s."""
+    Every conjugator is a power of u times a witness of wreath.conjugators
+    (the pair is not inert, b of infinite order), and the witnesses' base
+    parts decide offfamily_clean.  Those at powers of b are u^k w, w the
+    first witness at one: w is measured, and the rest are stepped in
+    ascending k out to wreath.step_radius and measured in (w_length_floor,
+    k) order up to the first floor above the best value.  value >= lower
+    >= floor, so no unmeasured conjugator beats or ties the best or has a
+    lower bound below its value: the answer is a measure-everything
+    ``min``'s.
+    """
     u, v = inst.u, inst.v
     found = [(u.base.power_membership(w.b, u.b), w) for w in conjugators(u, v)]
-    by_k = {}
-    j, w = next(((j, w) for j, w in found if j is not None), (None, None))
-    if w is not None:
-        lo, hi = min(min(ks), j), max(max(ks), j)
-        by_k = {j: w}
-        by_k.update(zip(range(j + 1, hi + 1), step_conjugators(u, v, w, hi - j)))
-        by_k.update(zip(range(j - 1, lo - 1, -1), step_conjugators(u, v, w, lo - j)))
-    witnesses = [by_k[k] for k in ks if k in by_k]
-    best, measured = (float("inf"), -1, None), []  # best: (key, index, length)
-    for floor, i in sorted((w_length_floor(w), i) for i, w in enumerate(witnesses)):
+    clean = all(j is not None for j, _ in found)
+    w = next((w for j, w in found if j is not None), None)
+    if w is None:
+        return MinScanResult(None, 0, clean, bound)
+    first = w_length(w, config)
+    r = step_radius(u, w, first.value)
+    stepped = [*reversed(step_conjugators(u, v, w, -r)), w, *step_conjugators(u, v, w, r)]
+    best, low = (first.value, r, first), first.lower  # best: (value, index, length)
+    for floor, i in sorted((w_length_floor(c), i) for i, c in enumerate(stepped) if i != r):
         if floor > best[0]:
             break
-        m = w_length(witnesses[i], config)
-        measured.append(m)
-        best = min(best, (key(m), i, m))  # indices differ: lengths are never compared
-    return best[2], measured, len(witnesses), all(j is not None for j, _ in found)
+        m = w_length(stepped[i], config)
+        low = min(low, m.lower)
+        best = min(best, (m.value, i, m))  # indices differ: lengths are never compared
+    # the family's reason for existing; the sound lower field makes this
+    # safe to assert even for witnesses whose travel cost went heuristic
+    if low < bound:
+        raise InvariantViolation(f"family conjugator lower bound {low} < {bound}")
+    return MinScanResult(best[2], len(stepped), clean, bound)
 
 
 def central_family_min_conjugator(
@@ -265,28 +270,10 @@ def central_family_min_conjugator(
     n: int,
     config: RunConfig = DEFAULT,
 ) -> MinScanResult:
-    """Minimal verified conjugator length (by value) for the central
-    family at n, bound 4*delta, measured in floor order (_min_conjugator).
-
-    Candidates are the powers x^k with |k| <= delta + n + 2; the scan
-    records whether every base part that admits a conjugator is a power of
-    x (the structural step that justifies the candidate set).  The window
-    is wide enough that base parts beyond it force strictly larger lamp
-    supports, hence longer witnesses.
-    """
+    """Shortest verified conjugator along <x> for the central family at n
+    (_min_conjugator), asserting the bound 4*delta(n)."""
     inst = central_family(spec, n, config)
-    B = spec.B
-    window = inst.delta + n + 2
-    ks = sorted(range(-window, window + 1), key=lambda k: B.key(B.power(spec.x, k)))
-    min_len, measured, count, offfamily_clean = _min_conjugator(inst, ks, lambda m: m.value, config)
-    bound = 4 * inst.delta
-    # the family's reason for existing: the shortest conjugator is at least
-    # four times the distortion; the sound lower field makes this safe to
-    # assert even for witnesses whose travel cost went heuristic, and an
-    # unmeasured witness has lower >= floor > min_len.value >= this minimum
-    if min((m.lower for m in measured), default=bound) < bound:
-        raise InvariantViolation(f"central family minimum below 4*delta={bound} at n={n}")
-    return MinScanResult(min_len, count, offfamily_clean, bound)
+    return _min_conjugator(inst, 4 * inst.delta, config)
 
 
 def z2_triangle_family(spec: FamilySpec, n: int, config: RunConfig = DEFAULT) -> FamilyInstance:
@@ -337,25 +324,12 @@ def z2_triangle_family(spec: FamilySpec, n: int, config: RunConfig = DEFAULT) ->
 
 
 def z2_min_conjugator(spec: FamilySpec, n: int, config: RunConfig = DEFAULT) -> MinScanResult:
-    """Minimal verified conjugator (by lower) for the triangle family at
-    n, bound n^2 + n, scanning base parts y^k for |k| <= 3n in floor
-    order (_min_conjugator); the scan records whether every base part
-    that admits a conjugator is a power of y.
-
-    Witness supports are quadratic, so lengths may carry upper-bound flags;
-    the ``lower`` fields stay sound and carry the quadratic bound.
+    """Shortest verified conjugator along <y> for the triangle family at n
+    (_min_conjugator), asserting the quadratic bound n^2 + n.  Witness
+    supports are quadratic, so lengths may carry upper-bound flags; the
+    lamp count alone carries the bound, so the sound lower fields do.
     """
-    inst = z2_triangle_family(spec, n, config)
-    ks = range(-3 * n, 3 * n + 1)
-    min_len, _, count, offfamily_clean = _min_conjugator(inst, ks, lambda m: m.lower, config)
-    bound = n * n + n
-    # quadratic growth from linear inputs; the lamp count alone carries it,
-    # so the sound lower field suffices even when travel is heuristic
-    if min_len is not None and min_len.lower < bound:
-        raise InvariantViolation(
-            f"triangle family minimum lower bound {min_len.lower} < n^2+n at n={n}"
-        )
-    return MinScanResult(min_len, count, offfamily_clean, bound)
+    return _min_conjugator(z2_triangle_family(spec, n, config), n * n + n, config)
 
 
 # -- randomized conjugacy-length scan --------------------------------------

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (and "equal"/"conjugate" for eq/conj), 1 negative
 decision, 2 parse error, 3 beyond-cap, 4 invariant violation.  Sampling
-commands require --seed.  Run caps come from an optional JSON/TOML config
+commands require --seed.  Run caps come from an optional JSON config
 file; the only environment variable honoured is NO_COLOR.
 """
 
@@ -45,18 +45,10 @@ def _parse_group(text: str, cfg: RunConfig) -> GroupHandle:
 
 
 def _load_config(args) -> RunConfig:
-    base = {}
-    if getattr(args, "config", None):
-        path = args.config
-        with open(path, "rb") as fh:
-            if path.endswith(".toml"):
-                try:
-                    import tomllib
-                except ModuleNotFoundError as exc:  # python < 3.11
-                    raise ValueError("TOML config needs Python 3.11+; use JSON") from exc
-                base = tomllib.load(fh)
-            else:
-                base = json.load(fh)
+    if not getattr(args, "config", None):
+        return DEFAULT
+    with open(args.config, "rb") as fh:
+        base = json.load(fh)
     return RunConfig(**base) if base else DEFAULT
 
 
@@ -203,7 +195,7 @@ def cmd_selftest(args, cfg):
 
 def build_parser():
     top = argparse.ArgumentParser(prog="magnuskit", description=__doc__)
-    top.add_argument("--config", help="JSON (or TOML on 3.11+) config file")
+    top.add_argument("--config", help="JSON config file")
     top.add_argument("--format", default="csv", choices=("csv", "json"))
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -41,7 +41,8 @@ projections are all trivial reduce to conjugacy in B.  For b of infinite
 order the conjugator with a given base part is unique (a centraliser
 element (h, e) of (f, b) has h trivial), so the one at b^k z is
 (f, b)^k times the one at z, and step_conjugators walks along <b> from a
-witness.  Every conjugator is verified against u*(h,z) = (h,z)*v.
+witness; step_radius bounds how far a walk for a shortest one must go.
+Every conjugator is verified against u*(h,z) = (h,z)*v.
 
 An element's key is a FormKey: the pair of its base key and the
 frozenset of its (position key, lamp key) cells.  A frozenset caches its
@@ -721,6 +722,30 @@ def step_conjugators(u: WreathElement, v: WreathElement, w: WreathElement, steps
         walked.append(nxt)
         w = nxt
     return walked
+
+
+def step_radius(u: WreathElement, w: WreathElement, best: int) -> int:
+    """A radius r such that every conjugator u^k w with |k| > r, w any
+    conjugator of u = (f, b), is longer than best.
+
+    Take the N cosets of <b> on which u projects nontrivially, s the
+    largest span max j - min j + 1 of u's exponents on one of them.  On
+    each, u^k carries the projection (or its inverse) as its lamp at the
+    |k| - s + 1 points whose window of |k| exponents covers u's, and the
+    |Supp w| shifted lamps of w cancel at most that many, so u^k w has at
+    least N(|k| - s + 1) - |Supp w| lamps.  Each lamp costs a letter and
+    all but one a move, so the length is at least twice the lamps less
+    one, which exceeds best for |k| > r.  An inert u (N = 0) has no such
+    radius, and a finite-order b repeats its cosets; both are refused.
+    """
+    A, B = u.lamp, u.base
+    if B.order(u.b) is not None:
+        raise ValueError("a stopping radius along <b> needs b of infinite order")
+    ekey = A.key(A.identity)
+    spans = [max(jmap) - min(jmap) + 1 for _, jmap, p in _coset_table(u) if A.key(p) != ekey]
+    if not spans:
+        raise ValueError("an inert element has no stopping radius: its powers may carry no lamps")
+    return max(spans) - 1 + (best + 2 * len(w.f) + 1) // (2 * len(spans))
 
 
 def conjugacy_test(u: WreathElement, v: WreathElement) -> ConjugacyResult:

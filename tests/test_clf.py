@@ -275,11 +275,12 @@ def test_triangle_lengths_are_certified_past_the_dp(x, y):
         assert inst.u_len.exact and inst.v_len.exact
 
 
-def _exhaustive_min(inst, bases, key):
-    """Reference: measure every verified conjugator, first minimum wins."""
-    found = (conjugator_for_z(inst.u, inst.v, z) for z in bases)
-    lengths = [w_length(w) for w in found if w is not None]
-    return min(lengths, key=key), len(lengths)
+def _exhaustive_min(inst, x, n):
+    """Reference: measure the verified conjugator at every base part x^k,
+    |k| <= 4n + 10, in ascending k; the first minimum by value wins."""
+    B = inst.u.base
+    found = (conjugator_for_z(inst.u, inst.v, B.power(x, k)) for k in range(-4 * n - 10, 4 * n + 11))
+    return min((w_length(w) for w in found if w is not None), key=lambda m: m.value)
 
 
 @pytest.mark.parametrize("x,y", [((1, 0), (0, 1)), ((0, -1), (1, 0))])
@@ -287,25 +288,22 @@ def test_z2_selection_equals_exhaustive(x, y):
     spec = FamilySpec(Z1, Z2, x, y, "z2")
     for n in range(1, 6):
         inst = z2_triangle_family(spec, n)
-        bases = [Z2.power(y, k) for k in range(-3 * n, 3 * n + 1)]
         scan = z2_min_conjugator(spec, n)
-        assert (scan.min_length, scan.witnesses) == _exhaustive_min(inst, bases, lambda m: m.lower)
+        assert scan.min_length == _exhaustive_min(inst, y, n)
         assert scan.bound == n * n + n
 
 
 @pytest.mark.parametrize(
     "B,x,y,ns",
-    [(Z2, (1, 0), (0, 1), range(1, 6)), (HeisenbergHandle(), (0, 0, 1), (1, 0, 0), [4])],
+    [(Z2, (1, 0), (0, 1), range(1, 6)), (HeisenbergHandle(), (0, 0, 1), (1, 0, 0), range(1, 9))],
     ids=["Zr", "heisenberg"],
 )
 def test_central_selection_equals_exhaustive(B, x, y, ns):
     spec = FamilySpec(Z1, B, x, y, "central")
     for n in ns:
         inst = central_family(spec, n)
-        window = inst.delta + n + 2
-        bases = sorted((B.power(x, k) for k in range(-window, window + 1)), key=B.key)
         scan = central_family_min_conjugator(spec, n)
-        assert (scan.min_length, scan.witnesses) == _exhaustive_min(inst, bases, lambda m: m.value)
+        assert scan.min_length == _exhaustive_min(inst, x, n)
         assert scan.bound == 4 * inst.delta
 
 
@@ -321,8 +319,8 @@ def test_z2_selection_skips_far_witnesses(monkeypatch):
     monkeypatch.setattr(clf, "w_length", counting_w_length)
     scan = z2_min_conjugator(spec, 6)
     witnesses = [u for u in measured if u not in (inst.u, inst.v)]
-    assert scan.witnesses == 37
-    assert len(witnesses) <= 13
+    assert scan.witnesses == 25
+    assert len(witnesses) <= 12
 
 
 def test_first_witness_scan_trivial_pair():

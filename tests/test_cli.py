@@ -229,25 +229,25 @@ def test_family_command_over_the_heisenberg_centre(capsys):
 
 
 FAMILY_ROWS = {
-    ("z2", "x1", "x2"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,1,34,1 4,52,20,0,52,1 "
-    "5,72,30,0,72,1 6,100,42,0,100,1",
-    ("z2", "x2^-1", "x1"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,1,34,1 4,52,20,0,52,1 "
-    "5,76,30,0,76,1 6,102,42,0,102,1",
+    ("z2", "x1", "x2"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,1,34,1 4,50,20,1,50,1 "
+    "5,72,30,0,72,1 6,98,42,0,98,1",
+    ("z2", "x2^-1", "x1"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,1,34,1 4,50,20,1,50,1 "
+    "5,74,30,0,74,1 6,100,42,0,100,1",
     ("central", "x1", "x2"): "1,5,4,1,5,1 2,10,8,1,10,1 3,15,12,1,15,1 4,20,16,1,20,1 5,25,20,1,25,1",
     # the other six axis pairs the benchmark's z2 slots draw; rows at n >= 4
     # run path_tsp's heuristic branch
-    ("z2", "x1", "x2^-1"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,1,34,1 4,52,20,0,52,1 "
-    "5,72,30,0,72,1 6,98,42,0,98,1",
-    ("z2", "x1^-1", "x2"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,1,34,1 4,52,20,0,52,1 "
-    "5,72,30,0,72,1 6,100,42,0,100,1",
-    ("z2", "x1^-1", "x2^-1"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,1,34,1 4,54,20,0,54,1 "
-    "5,74,30,0,74,1 6,102,42,0,102,1",
-    ("z2", "x2", "x1"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,1,34,1 4,52,20,0,52,1 "
-    "5,74,30,0,74,1 6,102,42,0,102,1",
-    ("z2", "x2", "x1^-1"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,1,34,1 4,54,20,0,54,1 "
-    "5,76,30,0,76,1 6,104,42,0,104,1",
-    ("z2", "x2^-1", "x1^-1"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,1,34,1 4,54,20,0,54,1 "
-    "5,76,30,0,76,1 6,104,42,0,104,1",
+    ("z2", "x1", "x2^-1"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,1,34,1 4,50,20,1,50,1 "
+    "5,72,30,0,72,1 6,96,42,0,96,1",
+    ("z2", "x1^-1", "x2"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,1,34,1 4,50,20,1,50,1 "
+    "5,72,30,0,72,1 6,96,42,0,96,1",
+    ("z2", "x1^-1", "x2^-1"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,1,34,1 4,50,20,1,50,1 "
+    "5,74,30,0,74,1 6,98,42,0,98,1",
+    ("z2", "x2", "x1"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,1,34,1 4,50,20,1,50,1 "
+    "5,74,30,0,74,1 6,100,42,0,100,1",
+    ("z2", "x2", "x1^-1"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,1,34,1 4,50,20,1,50,1 "
+    "5,74,30,0,74,1 6,100,42,0,100,1",
+    ("z2", "x2^-1", "x1^-1"): "1,6,2,1,6,1 2,20,6,1,20,1 3,34,12,1,34,1 4,50,20,1,50,1 "
+    "5,74,30,0,74,1 6,100,42,0,100,1",
 }
 
 
@@ -293,7 +293,7 @@ def test_heisenberg_central_scan_norm_budget(capsys, monkeypatch):
         "--x", "x1 x2 x1^-1 x2^-1", "--y", "x1", "--n-max", "8", "--seed", "1",
     )
     assert code == 0 and out.split()[-1] == "8,42,16,1,42,1"
-    assert calls[0] <= 4409
+    assert calls[0] <= 3401
 
 
 def test_z2_family_builds_one_conjugator_per_scan(capsys, monkeypatch):
@@ -316,7 +316,7 @@ def test_z2_family_builds_one_conjugator_per_scan(capsys, monkeypatch):
         capsys, "family", "--kind", "z2", "--group", '{"kind":"Zr","r":2}',
         "--x", "[1]", "--y", "[2]", "--n-min", "6", "--n-max", "6", "--seed", "1",
     )
-    assert code == 0 and out.split()[-1] == "6,100,42,0,100,1"
+    assert code == 0 and out.split()[-1] == "6,98,42,0,98,1"
     assert calls["conjugator_for_z"] <= 13
     assert calls["_coset_j"] <= 1500
 
@@ -520,6 +520,21 @@ def test_bad_config_key_is_parse_error(capsys, tmp_path, key):
     cfgfile.write_text(json.dumps({key: 1}))
     code, _, err = run(capsys, "--config", str(cfgfile), "selftest", "--list")
     assert code == 2
+
+
+def test_toml_config_is_parse_error(capsys, tmp_path):
+    # JSON is the one config format: a TOML file does not parse
+    cfgfile = tmp_path / "cfg.toml"
+    cfgfile.write_text("travel_exact_max = 11\n")
+    code, _, err = run(capsys, "--config", str(cfgfile), "len", "x1 x2", "--r", "2", "--d", "2")
+    assert code == 2 and "parse error" in err
+
+
+def test_selftest_rejects_unknown_check_names(capsys):
+    code, out, err = run(capsys, "selftest", "--only", "fundamental-formula,no-such-check,other")
+    assert code == 2
+    assert "no-such-check" in err and "other" in err
+    assert "PASS" not in out  # nothing ran
 
 
 def test_selftest_single_check(capsys):

@@ -788,6 +788,65 @@ def test_stepping_rejects_a_finite_order_base_part(monkeypatch):
     assert not built
 
 
+def _projecting_cosets(u):
+    """(N, s): the cosets of <u.b> through Supp u with a nontrivial
+    projection, and the largest span of u's exponents on one of them,
+    grouped by power membership and projected with pi_projection."""
+    B, A = u.base, u.lamp
+    cosets = {}
+    for p in u.support():
+        for t, js in cosets.items():
+            j = B.power_membership(B.multiply(p, B.invert(t)), u.b)
+            if j is not None:
+                js.append(j)
+                break
+        else:
+            cosets[p] = [0]
+    spans = [max(js) - min(js) + 1 for t, js in cosets.items() if pi_projection(u, t) != A.identity]
+    return len(spans), max(spans, default=0)
+
+
+@pytest.mark.parametrize("base", [Z2, HeisenbergHandle(), FreeHandle(2)], ids=lambda h: h.kind)
+def test_step_radius_bounds_every_shorter_conjugator(base):
+    # past step_radius each stepped conjugator u^k w carries at least
+    # N(|k| - s + 1) - |Supp w| lamps and is longer than w
+    # w runs over the first witness and the conjugating element itself
+    rng = random.Random(24 + len(base.kind))
+
+    def element(lamps, n):
+        near = [base.from_word(random_word(2, rng.randint(0, 3), rng)) for _ in range(lamps)]
+        pairs = [(p, (rng.choice([-1, 1, 2]),)) for p in near]
+        return wreath_element(Z, base, pairs, base.from_word(random_word(2, n, rng)))
+
+    pairs = 0
+    while pairs < 8:
+        u = element(rng.randint(1, 4), rng.randint(1, 2))
+        if base.order(u.b) is not None or is_inert(u):
+            continue
+        gamma = element(rng.randint(0, 5), rng.randint(0, 2))
+        v = w_conjugate(u, gamma)
+        N, s = _projecting_cosets(u)
+        for w in (next(conjugators(u, v)), gamma):
+            best = w_length(w).value
+            r = wreath.step_radius(u, w, best)
+            for sign in (1, -1):
+                for k, wk in enumerate(step_conjugators(u, v, w, sign * (r + 3)), 1):
+                    assert len(wk.f) >= N * (k - s + 1) - len(w.f)
+                    if k > r:
+                        assert w_length(wk).value > best
+        pairs += 1
+
+
+def test_step_radius_refuses_inert_and_finite_order_elements():
+    inert = wreath_element(Z, Z2, [((0, 0), (1,)), ((1, 0), (-1,))], (1, 0))
+    assert is_inert(inert)
+    with pytest.raises(ValueError, match="inert"):
+        wreath.step_radius(inert, inert, 4)
+    u = wreath_element(Z, ZNHandle(3), [(0, (1,))], 1)
+    with pytest.raises(ValueError, match="infinite order"):
+        wreath.step_radius(u, u, 4)
+
+
 def _decision_digest():
     """sha256 over seeded conjugacy_test results: decision, case and
     witness JSON, over finite (alpha from A.conjugator) and infinite base
