@@ -47,8 +47,11 @@ def _parse_group(text: str, cfg: RunConfig) -> GroupHandle:
 def _load_config(args) -> RunConfig:
     if not getattr(args, "config", None):
         return DEFAULT
-    with open(args.config, "rb") as fh:
-        base = json.load(fh)
+    try:
+        with open(args.config, "rb") as fh:
+            base = json.load(fh)
+    except OSError as exc:  # unreadable is a bad argument, not a negative decision
+        raise ValueError(f"cannot read config file: {exc}") from exc
     return RunConfig(**base) if base else DEFAULT
 
 

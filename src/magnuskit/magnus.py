@@ -16,9 +16,11 @@ edge flow of its path (Myasnikov, Roman'kov, Ushakov and Vershik): the
 prefixes are Z^r vectors at level one, and the walk at level l keeps the
 running cell map of the prefix's form in S_{r,l} and the set of its
 cells, each letter changing one cell.  Every prefix below the top level is
-a snapshot of the two, so no prefix is composed by w_multiply or keyed by
-a loop over its cells; fox.projected_derivatives stays the ring-valued
-view of the same coefficients.
+keyed from the set as the walk passes it; its form is built only when
+read, and the first read replays the walk's cell changes to build every
+prefix's form at once.  No prefix is composed by w_multiply or keyed by a
+loop over its cells; fox.projected_derivatives stays the ring-valued view
+of the same coefficients.
 
 The same coordinates, read as a function on Cayley-graph edges, are the
 net edge-traversal flow of the path w reads in Cay(Q), so lengths are read
@@ -91,8 +93,9 @@ def magnus_embed(w: FreeWord, Q: GroupHandle, lamp: ZrHandle | None = None) -> W
 
 def _prefixes(w: FreeWord, Q: GroupHandle) -> list:
     """The images in Q of the prefixes w[:0], ..., w[:n], as (element, key)
-    pairs: integer vectors in Z^r, the snapshots of one flow walk per
-    derived level in S_{r,d}, and a chain of products in any other Q."""
+    pairs: integer vectors in Z^r, the keyed prefixes of one flow walk per
+    derived level in S_{r,d} (their forms built on first read), and a
+    chain of products in any other Q."""
     gens = [g for _, g in Q.generators()]
     if len(gens) < w.rank:
         raise ValueError(f"quotient has {len(gens)} generators, word has rank {w.rank}")
@@ -123,26 +126,27 @@ def _flow_snapshots(w: FreeWord, S: "SolvableGroup", below: list) -> list:
     The walk keeps the running cell map of the prefix's Magnus form
     (position key -> (representative, lamp vector)) and the running set of
     its (position key, lamp vector) cells; each letter changes one cell.
-    Every prefix is a snapshot: copies of the map and of the set, which
-    are C-level and reuse the stored hashes, so the prefix's FormKey is
-    built without a loop over its cells.  Representatives follow
-    w_multiply's rule, so a snapshot equals the product form of the
-    prefix: a cell keeps the prefix at which it last became nonzero.
+    Every prefix gets its FormKey now, a frozenset of the running set,
+    which is C-level and reuses the stored hashes.  Its form is left to a
+    _FlowWalk, which records each letter's cell change and builds every
+    prefix's form on the first read of any.  Representatives follow
+    w_multiply's rule, so a prefix's form equals its product form: a cell
+    keeps the prefix at which it last became nonzero.
     """
-    A, B, R = S.lamp, S.base, S.r
+    A, R = S.lamp, S.r
     steps = {i: g for i, (_, g) in enumerate(A.generators(), 1)}  # x_i moves coordinate i
     steps.update({-i: A.invert(g) for i, g in list(steps.items())})
     letters = w.letters
     cells: dict = {}
     live: set = set()
+    walk = _FlowWalk(S, below)
 
-    def snapshot(k):
-        b, bk = below[k]
-        key = FormKey(bk, frozenset(live))
-        form = WreathElement(A, B, dict(cells), b, key)
-        return SolvableElement(S, FreeWord(R, letters[:k], _reduced=True), form), key
+    def prefix(k):
+        key = FormKey(below[k][1], frozenset(live))
+        walk.keys.append(key)
+        return SolvableElement(S, FreeWord(R, letters[:k], _reduced=True), None, key, walk), key
 
-    out = [snapshot(0)]
+    out = [prefix(0)]
     for k, let in enumerate(letters):
         q, qk = below[k] if let > 0 else below[k + 1]
         vec = steps[let]
@@ -151,12 +155,50 @@ def _flow_snapshots(w: FreeWord, S: "SolvableGroup", below: list) -> list:
             live.remove((qk, old[1]))
             q, vec = old[0], A.multiply(old[1], vec)
         if any(vec):
-            cells[qk] = (q, vec)  # in place: the cell order is w_multiply's
+            cell = cells[qk] = (q, vec)  # in place: the cell order is w_multiply's
             live.add((qk, vec))
         else:
+            cell = None
             del cells[qk]
-        out.append(snapshot(k + 1))
+        walk.changes.append((qk, cell))
+        out.append(prefix(k + 1))
     return out
+
+
+class _FlowWalk:
+    """The forms of the prefixes of one word at one derived level, built
+    together on the first read of any.
+
+    It holds what _flow_snapshots recorded (the prefixes' images below,
+    their keys, and each letter's cell change: the position key and the
+    new cell, None where it vanished) and replays the changes into one
+    running cell map, copying it once per prefix.  The forms are indexed
+    by prefix length, so the walk refers to none of its prefix elements
+    and they collect without the cycle collector.
+    """
+
+    __slots__ = ("group", "below", "keys", "changes", "forms")
+
+    def __init__(self, group: "SolvableGroup", below: list):
+        self.group = group
+        self.below = below
+        self.keys: list = []
+        self.changes: list = []
+        self.forms = None
+
+    def form(self, k: int) -> WreathElement:
+        if self.forms is None:
+            A, B = self.group.lamp, self.group.base
+            cells: dict = {}
+            forms = [WreathElement(A, B, {}, self.below[0][0], self.keys[0])]
+            for (qk, cell), (b, _), key in zip(self.changes, self.below[1:], self.keys[1:]):
+                if cell is None:
+                    del cells[qk]
+                else:
+                    cells[qk] = cell
+                forms.append(WreathElement(A, B, dict(cells), b, key))
+            self.forms, self.below, self.keys, self.changes = forms, None, None, None
+        return self.forms[k]
 
 
 # -- edge flows ----------------------------------------------------------------
@@ -340,22 +382,34 @@ def offsupport_connection_cost(form: WreathElement, config: RunConfig = DEFAULT)
 
 class SolvableElement:
     """An element of S_{r,d} for d >= 2: its image under the Magnus
-    embedding (the normal form), embedded from the representative word
-    on first use unless given, plus that word for JSON and repr."""
+    embedding (the normal form), plus its representative word for JSON
+    and repr.
 
-    __slots__ = ("group", "word", "_form")
+    The form is built on first use unless given: embedded from the word,
+    or, for a prefix made by _flow_snapshots, read from its _FlowWalk.
+    Such a prefix carries its FormKey from the start, so keys, equality
+    and hashing never build its form.
+    """
 
-    def __init__(self, group: "SolvableGroup", word: FreeWord, form: WreathElement | None = None):
+    __slots__ = ("group", "word", "_form", "_key", "_walk")
+
+    def __init__(self, group: "SolvableGroup", word: FreeWord, form: WreathElement | None = None,
+                 key: FormKey | None = None, walk: _FlowWalk | None = None):
         if word.rank != group.r:
             raise ValueError("word rank does not match the group rank")
         self.group = group
         self.word = word
         self._form = form
+        self._key = key
+        self._walk = walk
 
     @property
     def form(self) -> WreathElement:
         if self._form is None:
-            self._form = magnus_embed(self.word, self.group.base, self.group.lamp)
+            if self._walk is None:
+                self._form = magnus_embed(self.word, self.group.base, self.group.lamp)
+            else:
+                self._form, self._walk = self._walk.form(len(self.word)), None
         return self._form
 
     @property
@@ -366,11 +420,11 @@ class SolvableElement:
         return (
             isinstance(other, SolvableElement)
             and self.group == other.group
-            and self.form.key() == other.form.key()
+            and self.group.key(self) == other.group.key(other)
         )
 
     def __hash__(self):
-        return hash(self.form.key())
+        return hash(self.group.key(self))
 
     def __repr__(self):
         return f"SolvableElement(r={self.group.r}, d={self.group.d}, word={list(self.word.letters)})"
@@ -413,7 +467,7 @@ class SolvableGroup(GroupHandle):
         return SolvableElement(self, a.word.inverse(), w_invert(a.form))
 
     def key(self, a: SolvableElement):
-        return a.form.key()
+        return a._key or a.form.key()
 
     def from_word(self, w: FreeWord) -> SolvableElement:
         return SolvableElement(self, w)
@@ -522,7 +576,7 @@ def solvable_eq(u: SolvableElement, v: SolvableElement) -> bool:
     """Equality in S_{r,d}: equality of Magnus normal forms."""
     if u.group != v.group:
         raise ValueError("elements of different free solvable groups")
-    return u.form.key() == v.form.key()
+    return u.group.key(u) == v.group.key(v)
 
 
 def geodesic_length(g: SolvableElement, config: RunConfig = DEFAULT) -> Measure:

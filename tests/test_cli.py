@@ -530,6 +530,13 @@ def test_toml_config_is_parse_error(capsys, tmp_path):
     assert code == 2 and "parse error" in err
 
 
+@pytest.mark.parametrize("name", ["missing.json", "."])
+def test_unreadable_config_is_parse_error(capsys, tmp_path, name):
+    # a missing file or a directory: exit 2, not a traceback and exit 1
+    code, _, err = run(capsys, "--config", str(tmp_path / name), "len", "x1 x2", "--r", "2", "--d", "2")
+    assert code == 2 and "parse error: cannot read config file" in err
+
+
 def test_selftest_rejects_unknown_check_names(capsys):
     code, out, err = run(capsys, "selftest", "--only", "fundamental-formula,no-such-check,other")
     assert code == 2

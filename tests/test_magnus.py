@@ -213,6 +213,100 @@ def test_depth4_form_makes_no_products(monkeypatch):
     assert calls == []
 
 
+def _reduced_letters(rng, n):
+    letters = [1]
+    while len(letters) < n:
+        let = rng.choice((1, 2, -1, -2))
+        if let != -letters[-1]:
+            letters.append(let)
+    return letters
+
+
+def _counting_forms(monkeypatch):
+    """Patch the Magnus form constructor; return the list of the bases of
+    the forms built since."""
+    built = []
+
+    class Counting(wreath.WreathElement):
+        __slots__ = ()
+
+        def __init__(self, lamp, base, *rest):
+            built.append(base)
+            super().__init__(lamp, base, *rest)
+
+    monkeypatch.setattr(magnus, "WreathElement", Counting)
+    monkeypatch.setattr(wreath, "WreathElement", Counting)
+    return built
+
+
+def test_depth4_form_key_builds_no_prefix_form(monkeypatch):
+    # every prefix below the top level is keyed, and none is given a form
+    S4 = solvable_group(2, 4)
+    for _, g in S4.generators():
+        g.form
+    built = _counting_forms(monkeypatch)
+    w = FreeWord(2, _reduced_letters(random.Random(61), 64))
+    form = S4.from_word(w).form
+    assert len(form.key()[1]) > 0
+    assert built == [S4.base]
+    # equality and hashing read a prefix's own key
+    fresh = S4.base.from_word(w)
+    assert form.b == fresh and hash(form.b) == hash(fresh)
+    assert built == [S4.base, S4.base.base]  # the top form, then fresh's
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_a_prefix_form_replays_its_walk_once(monkeypatch, d):
+    S = solvable_group(2, d)
+    for _, g in S.generators():
+        g.form
+    built = _counting_forms(monkeypatch)
+    w = FreeWord(2, _reduced_letters(random.Random(62), 64))
+    form = S.from_word(w).form
+    built.clear()
+    reps = [q for q, _ in form.f.values()]
+    reps[0].form
+    # one replay builds every prefix's form at that level, and nothing below
+    assert built == [S.base.base] * (len(w) + 1)
+    built.clear()
+    for q in reps + [form.b]:
+        assert q.form.key() == q.group.key(q)
+    assert built == []
+
+
+def _conjugated_commutator_words(rng, count):
+    """Words p.c.p^-1.q of length at most 64, c a nested commutator: c's
+    cells cancel in S_{2,2}, so cells vanish and re-enter along the walk."""
+    words = []
+    while len(words) < count:
+        c = nested_commutator_sample(2, 2, rng, base_length=3)
+        p = random_word(2, rng.randint(0, 12), rng)
+        w = p * c * p.inverse() * random_word(2, rng.randint(0, 12), rng)
+        if c.letters and len(w) <= 64:
+            words.append(w)
+    return words
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_every_replayed_prefix_form_is_its_product_form(d):
+    forms, reentries = [], 0
+    for w in _conjugated_commutator_words(random.Random(80 + d), 12):
+        for H in (solvable_group(2, e) for e in range(2, d)):
+            chain = _product_chain(w, H)
+            seen, present = set(), set()
+            for k, (q, key) in enumerate(magnus._prefixes(w, H)):
+                g, prod = q.form, chain[k].form
+                forms.append(g)
+                assert g.key() == key == prod.key()
+                assert element_to_json(g) == element_to_json(prod) and list(g.f) == list(prod.f)
+                reentries += len((seen - present) & set(g.f))
+                present = set(g.f)
+                seen |= present
+    assert reentries > 0
+    # each prefix owns its cell map
+    assert len({id(g.f) for g in forms}) == len(forms)
+
+
 def test_solvable_eq_agrees_with_quotient_kernel():
     # equality of normal forms is the same as u v^-1 embedding trivially
     rng = random.Random(50)
