@@ -18,9 +18,11 @@ running cell map of the prefix's form in S_{r,l} and the set of its
 cells, each letter changing one cell.  Every prefix below the top level is
 keyed from the set as the walk passes it; its form is built only when
 read, and the first read replays the walk's cell changes to build every
-prefix's form at once.  No prefix is composed by w_multiply or keyed by a
-loop over its cells; fox.projected_derivatives stays the ring-valued view
-of the same coefficients.
+prefix's form at once.  Its word is likewise sliced from the walked word
+only when read, so a level allocates nothing whose size grows with the
+prefix.  No prefix is composed by w_multiply or keyed by a loop over its
+cells; fox.projected_derivatives stays the ring-valued view of the same
+coefficients.
 
 The same coordinates, read as a function on Cayley-graph edges, are the
 net edge-traversal flow of the path w reads in Cay(Q), so lengths are read
@@ -29,9 +31,10 @@ minimal number of off-support edges needed to visit every support vertex
 together with the identity.  The off-support connection cost takes the
 distances between flow-support components from the base's own word
 metric, the nearest base distance between two components closed under
-shortest paths (bracketed by sound bounds over a free solvable base), and
-orders the components with the path-TSP kernel of the wreath metric
-(wreath.path_tsp).
+shortest paths (bracketed by sound bounds over a free solvable base).
+Over Z^r it orders the components with the path-TSP kernel of the wreath
+metric (wreath.path_tsp); over a free solvable base it joins them by a
+minimum spanning tree, exact only where a lower bound meets it.
 """
 
 from functools import lru_cache
@@ -129,11 +132,13 @@ def _flow_snapshots(w: FreeWord, S: "SolvableGroup", below: list) -> list:
     Every prefix gets its FormKey now, a frozenset of the running set,
     which is C-level and reuses the stored hashes.  Its form is left to a
     _FlowWalk, which records each letter's cell change and builds every
-    prefix's form on the first read of any.  Representatives follow
+    prefix's form on the first read of any, and its word to the element,
+    which holds w and the prefix length k and slices w[:k] when its word
+    is first read.  Representatives follow
     w_multiply's rule, so a prefix's form equals its product form: a cell
     keeps the prefix at which it last became nonzero.
     """
-    A, R = S.lamp, S.r
+    A = S.lamp
     steps = {i: g for i, (_, g) in enumerate(A.generators(), 1)}  # x_i moves coordinate i
     steps.update({-i: A.invert(g) for i, g in list(steps.items())})
     letters = w.letters
@@ -144,7 +149,7 @@ def _flow_snapshots(w: FreeWord, S: "SolvableGroup", below: list) -> list:
     def prefix(k):
         key = FormKey(below[k][1], frozenset(live))
         walk.keys.append(key)
-        return SolvableElement(S, FreeWord(R, letters[:k], _reduced=True), None, key, walk), key
+        return SolvableElement(S, w, None, key, walk, k), key
 
     out = [prefix(0)]
     for k, let in enumerate(letters):
@@ -173,8 +178,9 @@ class _FlowWalk:
     their keys, and each letter's cell change: the position key and the
     new cell, None where it vanished) and replays the changes into one
     running cell map, copying it once per prefix.  The forms are indexed
-    by prefix length, so the walk refers to none of its prefix elements
-    and they collect without the cycle collector.
+    by prefix length, the k that each prefix element holds, so the walk
+    refers to none of its prefix elements and they collect without the
+    cycle collector.
     """
 
     __slots__ = ("group", "below", "keys", "changes", "forms")
@@ -326,9 +332,8 @@ def _zero_one_distances(form: WreathElement, comps, verts):
     Z^r the base distance is exact and the two matrices are one object.
     Over S_{r,k}, k >= 2, the base's own geodesic_length can read too long
     (a path where the geodesic is a Steiner tree, ROADMAP item 1), so each
-    base distance is bracketed by _length_bounds instead, and the matrices
-    are one object only where the two closures agree, which makes them
-    exact.
+    base distance is bracketed by _length_bounds instead, and the two
+    closures are exact where they agree.
     """
     Q = form.base
     elems = [[verts[k] for k in comp] for comp in comps]
@@ -345,26 +350,26 @@ def _zero_one_distances(form: WreathElement, comps, verts):
             pairs = [_length_bounds(w_multiply(w_invert(a.form), b.form)) for a in elems[i] for b in elems[j]]
             up[i][j] = up[j][i] = min(u for u, _ in pairs)
             low[i][j] = low[j][i] = min(lo for _, lo in pairs)
-    up, low = _closure(up), _closure(low)
-    return up, (up if low == up else low)
+    return _closure(up), _closure(low)
 
 
 def offsupport_connection_cost(form: WreathElement, config: RunConfig = DEFAULT) -> Measure:
     """Minimal number of non-support edges in a walk visiting every support
     vertex and the identity; support edges may be reused freely.
 
-    Within a support component travel is free, so the walk cost is a
-    path-TSP over components in the 0/1 metric with free endpoints.  The
-    component distances are the closure of the nearest base distances
-    between components (_zero_one_distances), so they cost what a base
-    distance costs and search no region.  The ordering is solved by
-    wreath.path_tsp: exact while the component count stays within
-    config.travel_exact_max, and beyond it when the path found meets its
-    lower bound, the largest component distance, which also bounds the
-    cheapest connecting forest from below; a flagged upper bound
-    otherwise.  In S_{r,d} with d >= 3 a component distance that the
-    bounds on lengths in S_{r,d-1} leave open makes the cost a flagged
-    upper bound too, with _forest_lower of the lower matrix as its lower.
+    Within a support component travel is free.  The component distances
+    are the closure of the nearest base distances between components
+    (_zero_one_distances), so they cost what a base distance costs and
+    search no region.  Over Z^r (d = 2) the cost is read as a path-TSP
+    over components in the 0/1 metric with free endpoints, solved by
+    wreath.path_tsp: exact when the path found meets its lower bound, the
+    largest component distance, which also bounds the cheapest connecting
+    forest from below, or while the component count stays within
+    config.travel_exact_max; a flagged upper bound otherwise.  In S_{r,d}
+    with d >= 3 it is a minimum spanning tree of the upper matrix, a
+    forest that a walk realises and never longer than a path, and exact
+    only when it meets _forest_lower of the lower matrix, its lower: the
+    cheapest forest may branch at elements of no component.
     """
     if not form.f:
         return Measure.exactly(0)
@@ -373,8 +378,10 @@ def offsupport_connection_cost(form: WreathElement, config: RunConfig = DEFAULT)
     if m == 1:
         return Measure.exactly(0)
     up, low = _zero_one_distances(form, comps, verts)
-    cost = path_tsp([0] * m, up, [0] * m, config)
-    return cost if up is low else Measure(cost.value, False, _forest_lower(low))
+    if isinstance(form.base, SolvableGroup):
+        value, lower = _spanning_tree(up), _forest_lower(low)
+        return Measure(value, value == lower, lower)
+    return path_tsp([0] * m, up, [0] * m, config)
 
 
 # -- free solvable groups -------------------------------------------------------
@@ -388,20 +395,33 @@ class SolvableElement:
     The form is built on first use unless given: embedded from the word,
     or, for a prefix made by _flow_snapshots, read from its _FlowWalk.
     Such a prefix carries its FormKey from the start, so keys, equality
-    and hashing never build its form.
+    and hashing never build its form, and it holds the walked word and
+    its own length k in place of a word: the first read of .word slices
+    the first k letters, keeps them and lets go of the walked word.
     """
 
-    __slots__ = ("group", "word", "_form", "_key", "_walk")
+    __slots__ = ("group", "_word", "_source", "_k", "_form", "_key", "_walk")
 
     def __init__(self, group: "SolvableGroup", word: FreeWord, form: WreathElement | None = None,
-                 key: FormKey | None = None, walk: _FlowWalk | None = None):
+                 key: FormKey | None = None, walk: _FlowWalk | None = None, k: int | None = None):
         if word.rank != group.r:
             raise ValueError("word rank does not match the group rank")
         self.group = group
-        self.word = word
+        if k is None:
+            self._word, self._source = word, None
+        else:
+            self._word, self._source = None, word
+        self._k = k
         self._form = form
         self._key = key
         self._walk = walk
+
+    @property
+    def word(self) -> FreeWord:
+        if self._word is None:
+            self._word = FreeWord(self.group.r, self._source.letters[: self._k], _reduced=True)
+            self._source = None
+        return self._word
 
     @property
     def form(self) -> WreathElement:
@@ -409,7 +429,7 @@ class SolvableElement:
             if self._walk is None:
                 self._form = magnus_embed(self.word, self.group.base, self.group.lamp)
             else:
-                self._form, self._walk = self._walk.form(len(self.word)), None
+                self._form, self._walk = self._walk.form(self._k), None
         return self._form
 
     @property

@@ -10,12 +10,12 @@ position) the word length is
     |(f, b)| = K(Supp f, b) + sum_x |f(x)|_A
 
 where K(S, b) is the length of the shortest Cayley path in B from the
-identity to b visiting every point of S.  K is a path-TSP; path_tsp solves
-it exactly by a subset dynamic program up to a configured size.  Beyond
-it, a nearest-neighbour + 2-opt path is exact when it meets the sound
-detour lower bound and flagged as an upper bound otherwise, so each
-instance decides its own exactness.  The free-solvable connection cost of
-the magnus module uses the same kernel.
+identity to b visiting every point of S.  K is a path-TSP; path_tsp takes
+a nearest-neighbour + 2-opt path, exact when it meets the sound detour
+lower bound.  One that misses the bound gives way to a subset dynamic
+program up to a configured size and is flagged as an upper bound beyond
+it, so each instance decides its own exactness.  The connection cost of
+the magnus module over a Z^r base uses the same kernel.
 
 Conjugacy is decided through coset projections: fix b and a right-coset
 representative t of <b>; the ordered product of the lamp values of f along
@@ -338,15 +338,14 @@ def path_tsp(d0, D, dend, config: RunConfig = DEFAULT) -> Measure:
     inequality) between points and a leg dend[j] out of the last; all-zero
     legs leave that endpoint free.
 
-    Exact (subset dynamic program) while n stays within
-    config.travel_exact_max.  Beyond that the value is the cost of a
-    nearest-neighbour + 2-opt path, and the lower field is the longest
-    forced detour through one point or one pair of points; a path that
-    meets this sound lower bound is optimal, so the value is then exact.
+    The value is first the cost of a nearest-neighbour + 2-opt path, and
+    the lower field the longest forced detour through one point or one
+    pair of points.  A path that meets this sound lower bound is optimal,
+    so the value is then exact at any n.  One that misses it is replaced
+    by the subset dynamic program's optimum while n stays within
+    config.travel_exact_max, and is returned flagged beyond that.
     """
     n = len(d0)
-    if n <= config.travel_exact_max:
-        return Measure.exactly(_path_tsp_exact(n, d0, D, dend))
     lower = max(map(add, d0, dend))
     for i in range(n - 1):
         si, ti = d0[i], dend[i]
@@ -357,6 +356,8 @@ def path_tsp(d0, D, dend, config: RunConfig = DEFAULT) -> Measure:
             if cand > lower:
                 lower = cand
     value = _path_tsp_heuristic(n, d0, D, dend)
+    if value != lower and n <= config.travel_exact_max:
+        return Measure.exactly(_path_tsp_exact(n, d0, D, dend))
     return Measure(value, value == lower, lower)
 
 

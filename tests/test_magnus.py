@@ -1,3 +1,4 @@
+import gc
 import itertools
 import os
 import random
@@ -272,6 +273,48 @@ def test_a_prefix_form_replays_its_walk_once(monkeypatch, d):
     for q in reps + [form.b]:
         assert q.form.key() == q.group.key(q)
     assert built == []
+
+
+@pytest.mark.parametrize("d, n", [(3, 256), (4, 64)])
+def test_a_form_key_slices_no_prefix_word(monkeypatch, d, n):
+    # each prefix holds the walked word and its length, not a copy of its
+    # letters, so the words a form builds have O(|w|) letters in all
+    S = solvable_group(2, d)
+    for _, g in S.generators():
+        g.form
+    w = FreeWord(2, _reduced_letters(random.Random(63), n))
+    letters = []
+    init = FreeWord.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        letters.append(len(self.letters))
+
+    monkeypatch.setattr(FreeWord, "__init__", counting)
+    assert len(S.from_word(w).form.key()[1]) > 0
+    assert sum(letters) <= n
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_a_prefix_word_is_sliced_when_read(d):
+    S = solvable_group(2, d)
+    w = FreeWord(2, _reduced_letters(random.Random(64), 48))
+    form = S.from_word(w).form
+    H = S.base
+    for q, _ in form.f.values():
+        assert any(x is w for x in gc.get_referents(q))
+        word = q.word
+        assert word.letters == w.letters[: len(word)]
+        assert magnus_embed(word, H.base, H.lamp).key() == H.key(q)
+        assert not any(x is w for x in gc.get_referents(q))
+        # the rest of the element works as before: its form replays the walk
+        g = q.form
+        cells = frozenset((k, H.lamp.key(v)) for k, (_, v) in g.f.items())
+        assert FormKey(H.base.key(g.b), cells) == H.key(q) == H.key(H.from_word(word))
+        assert repr(q) == f"SolvableElement(r=2, d={d - 1}, word={list(word.letters)})"
+        assert H.from_json(H.to_json(q)) == q
+        assert H.multiply(q, H.invert(q)).is_identity
+        assert H.multiply(q, q).word.letters == (word * word).letters
 
 
 def _conjugated_commutator_words(rng, count):
@@ -719,6 +762,77 @@ def test_depth3_connection_cost_through_a_star():
     assert len(magnus._support_components(form)[0]) == 3
     assert _reference_component_distances(form) == [[0, 30, 1], [30, 0, 29], [1, 29, 0]]
     assert offsupport_connection_cost(form) == (30, False, 25)
+
+
+_X1, _X2 = gen(2, 1), gen(2, 2)
+_DEPTH2 = [
+    commutator(commutator(_X1, _X2), commutator(_X1, _X2.inverse())),
+    commutator(commutator(_X1, _X2), commutator(_X1.inverse(), _X2)),
+    commutator(commutator(_X1, _X2.inverse()), commutator(_X1.inverse(), _X2)),
+]
+
+
+def _depth3_star_family(k):
+    """p c p^-1 for p = x1^k, x1^-k, x2^k, x2^-k in turn, c the first of
+    _DEPTH2: four loops of Cay(S_{2,2}) at distance k from the identity,
+    joined most cheaply through it, a Steiner point of no component."""
+    w = FreeWord(2, ())
+    for p in (_X1.power(k), _X1.power(-k), _X2.power(k), _X2.power(-k)):
+        w = w * p * _DEPTH2[0] * p.inverse()
+    return w
+
+
+def _conjugate_product(rng):
+    """A reduced product of 2-4 factors p c p^-1, c drawn from _DEPTH2 and
+    p a reduced word of length 1-5."""
+    w = FreeWord(2, ())
+    for _ in range(rng.randint(2, 4)):
+        p = FreeWord(2, _reduced_letters(rng, rng.randint(1, 5)))
+        w = w * p * rng.choice(_DEPTH2) * p.inverse()
+    return w
+
+
+@pytest.mark.parametrize("k, length", [(2, 76), (3, 84), (4, 92)])
+def test_depth3_star_family_is_not_longer_than_its_word(k, length):
+    # a path through the four loops is longer than the word; the spanning
+    # tree through the identity is not, and no bound proves it optimal
+    w = _depth3_star_family(k)
+    got = geodesic_length(solvable_group(2, 3).from_word(w))
+    assert len(w) == length
+    assert got.lower <= got.value <= length and not got.exact
+
+
+def _assert_below_the_word(S, words):
+    """The upper-bound oracle: a word of g is a path to g, so neither
+    |g|'s lower bound nor an exact |g| exceeds its length."""
+    for w in words:
+        got = geodesic_length(S.from_word(w))
+        assert got.lower <= len(w)
+        assert not got.exact or got.value <= len(w)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_lengths_are_bounded_by_their_words(d):
+    rng = random.Random(5)
+    words = [_conjugate_product(rng) for _ in range(30 if d == 3 else 15)]
+    words += [_depth3_star_family(k) for k in (2, 3)]
+    words += [_loop_word(rng, m) for m in (2, 4, 6)]
+    _assert_below_the_word(solvable_group(2, d), words)
+
+
+def test_one_component_lengths_are_bounded_by_their_words():
+    rng = random.Random(5)
+    words = []
+    while len(words) < 40:
+        w = random_word(2, rng.randint(1, 16), rng)
+        if len(magnus._support_components(S22.from_word(w).form)[0]) == 1:
+            words.append(w)
+    _assert_below_the_word(S22, words)
+
+
+@pytest.mark.xfail(strict=True, reason="the path-TSP connection cost over Z^r is not a Steiner tree (ROADMAP item 1)")
+def test_star_lengths_are_bounded_by_their_words():
+    _assert_below_the_word(S22, [_star_word(k) for k in range(2, 7)])
 
 
 def test_connection_cost_caps_raise():

@@ -222,6 +222,44 @@ def test_path_tsp_certifies_only_optimal_values():
     assert beyond == {True, False}
 
 
+def test_path_tsp_equals_the_dp_within_the_exact_range():
+    # within travel_exact_max every value is the optimum, fixed or free
+    # endpoints, whether the heuristic met its bound or the DP ran
+    from magnuskit.wreath import _path_tsp_exact, path_tsp
+
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(300):
+        n, d0, D, dend = _metric_path_instance(rng)
+        got = path_tsp(d0, D, dend, DEFAULT)
+        assert got == Measure.exactly(_path_tsp_exact(n, d0, D, dend))
+        seen.add((n, not any(d0)))
+    assert {free for n, free in seen if n > 3} == {True, False}
+
+
+def test_a_certified_path_runs_no_dp(monkeypatch):
+    calls = []
+    solve = wreath._path_tsp_exact
+
+    def counting(*args):
+        calls.append(args[0])
+        return solve(*args)
+
+    monkeypatch.setattr(wreath, "_path_tsp_exact", counting)
+    # five points on the segment from e = 0 to b = 9: the walk along it
+    # meets the detour bound d0 + dend = 9
+    pts = [2, 7, 4, 9, 1]
+    D = [[abs(p - q) for q in pts] for p in pts]
+    assert wreath.path_tsp(pts, D, [9 - p for p in pts]) == Measure.exactly(9)
+    assert calls == []
+    # the four corners of a unit square from a free start: the bound is 2
+    # (a diagonal), the optimum 3, so the DP decides
+    corners = [(0, 0), (0, 1), (1, 1), (1, 0)]
+    D = [[abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in corners] for p in corners]
+    assert wreath.path_tsp([0] * 4, D, [0] * 4) == Measure.exactly(3)
+    assert calls == [4]
+
+
 def _reference_heuristic(n, d0, D, dend) -> int:
     # the pair-at-a-time nearest-neighbour + 2-opt path that path_tsp's
     # row-walking heuristic must reproduce comparison for comparison
