@@ -14,11 +14,14 @@ projection machinery.
 
 import random
 import time
+from functools import reduce
+from operator import mul
 
 from .errors import InvariantViolation
 from .fox import free_handle, projected_derivatives, verify_fundamental
 from .groups import ZrHandle, HeisenbergHandle, ball_layers
 from .magnus import (
+    _support_components,
     bilipschitz_check,
     geodesic_length,
     magnus_embed,
@@ -44,7 +47,7 @@ from .clf import (
     random_wreath_element,
     z2_min_conjugator,
 )
-from .words import FreeWord, abelianized, nested_commutator_sample, random_word
+from .words import FreeWord, abelianized, commutator, gen, nested_commutator_sample, random_word
 
 
 def _require(ok, message):
@@ -456,6 +459,39 @@ def check_not_conjugate_to_lamp_free():
     return "100 embedded elements, zero false conjugacies"
 
 
+# 15 ---------------------------------------------------------------------------
+
+
+def check_lengths_below_words():
+    """A word is a path to its element, so neither the lower bound of its
+    length nor an exact length exceeds the word's length: seeded d = 3
+    stars and products of conjugated depth-2 commutators, and
+    one-component words at d = 2 and 4."""
+    x1, x2 = gen(2, 1), gen(2, 2)
+    y1, y2 = x1.inverse(), x2.inverse()
+    cs = [commutator(commutator(x1, x2), commutator(x1, y2)), commutator(commutator(x1, x2), commutator(y1, x2)),
+          commutator(commutator(x1, y2), commutator(y1, x2))]
+    rng = random.Random(1500)
+    products = [[(random_word(2, rng.randint(1, 5), rng), rng.choice(cs)) for _ in range(rng.randint(2, 4))]
+                for _ in range(10)]
+    # and the star, p = x1^k, x1^-k, x2^k, x2^-k
+    products += [[(p, cs[0]) for p in (x1.power(k), x1.power(-k), x2.power(k), x2.power(-k))] for k in (2, 3)]
+    words = {3: [reduce(mul, (p * c * p.inverse() for p, c in ps)) for ps in products]}
+    for d, count in ((2, 20), (4, 10)):
+        S, words[d] = solvable_group(2, d), []
+        while len(words[d]) < count:
+            w = random_word(2, rng.randint(1, 16), rng)
+            if len(_support_components(S.from_word(w).form)[0]) == 1:
+                words[d].append(w)
+    flagged = 0
+    for d, ws in words.items():
+        for w in ws:
+            m = geodesic_length(solvable_group(2, d).from_word(w))
+            _require(m.lower <= len(w) and (not m.exact or m.value <= len(w)), f"{m} above |w| = {len(w)} at d={d}")
+            flagged += not m.exact
+    return f"{sum(map(len, words.values()))} words at d = 2, 3, 4: no length above its word, {flagged} flagged"
+
+
 ACCEPTANCE = [
     ("fundamental-formula", check_fundamental_formula, 5.0),
     ("magnus-kernel", check_magnus_kernel, 30.0),
@@ -471,6 +507,7 @@ ACCEPTANCE = [
     ("triangle-family-lower-bound", check_triangle_family_lower_bound, None),
     ("solvable-clf-envelope", check_solvable_clf_envelope, None),
     ("not-conjugate-to-lamp-free", check_not_conjugate_to_lamp_free, None),
+    ("lengths-below-words", check_lengths_below_words, None),
 ]
 
 

@@ -52,7 +52,9 @@ def _load_config(args) -> RunConfig:
             base = json.load(fh)
     except OSError as exc:  # unreadable is a bad argument, not a negative decision
         raise ValueError(f"cannot read config file: {exc}") from exc
-    return RunConfig(**base) if base else DEFAULT
+    if not isinstance(base, dict):
+        raise ValueError("config file must hold a JSON object")
+    return RunConfig(**base)
 
 
 def _emit_rows(rows, fmt):

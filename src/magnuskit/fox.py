@@ -11,9 +11,9 @@ The projected derivative of a word through a quotient map is the same scan
 carried out in the quotient, which equals pushing the free derivative
 forward; the equality is asserted in the tests rather than assumed here.
 projected_derivatives is the ring-valued view, used by `fox --quotient`
-and the acceptance checks.  The Magnus embedding reads the same
-coefficients off its own walk (magnus.magnus_embed), with every prefix's
-image and key built once per derived level, and builds no ring elements.
+and the acceptance checks.  The Magnus embedding (magnus.magnus_embed)
+carries the same coefficients in its cells, built one cell per letter by
+the rule of wreath products, with no ring elements.
 """
 
 from .groups import FreeHandle, GroupHandle

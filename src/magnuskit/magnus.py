@@ -12,17 +12,12 @@ inverses are computed on images, and a word is embedded only when an
 element is built from it.
 
 A word is embedded in one walk over it per derived level, read as the
-edge flow of its path (Myasnikov, Roman'kov, Ushakov and Vershik): the
-prefixes are Z^r vectors at level one, and the walk at level l keeps the
-running cell map of the prefix's form in S_{r,l} and the set of its
-cells, each letter changing one cell.  Every prefix below the top level is
-keyed from the set as the walk passes it; its form is built only when
-read, and the first read replays the walk's cell changes to build every
-prefix's form at once.  Its word is likewise sliced from the walked word
-only when read, so a level allocates nothing whose size grows with the
-prefix.  No prefix is composed by w_multiply or keyed by a loop over its
-cells; fox.projected_derivatives stays the ring-valued view of the same
-coefficients.
+edge flow of its path (Myasnikov, Roman'kov, Ushakov and Vershik).  One
+cell update (_cell_walk) serves every level above Z^r, each letter
+changing one cell by w_multiply's rule, so every form built from a word
+is the product of its letters' forms, representatives and cell order
+included.  Only the levels below the top keep their prefixes: each is
+keyed as the walk passes it, and its form and word are built when read.
 
 The same coordinates, read as a function on Cayley-graph edges, are the
 net edge-traversal flow of the path w reads in Cay(Q), so lengths are read
@@ -59,39 +54,11 @@ from .words import FreeWord, from_json as word_from_json, identity as word_ident
 
 
 def magnus_embed(w: FreeWord, Q: GroupHandle, lamp: ZrHandle | None = None) -> WreathElement:
-    """Image of the word w in Z^r wr Q.
-
-    One walk over w, as in fox.projected_derivatives but with every
-    prefix's image and key taken from _prefixes: a letter x_i adds +1 to
-    coordinate i at the prefix before it, x_i^-1 adds -1 at the prefix
-    after it.  A cell's representative is the prefix at the latest
-    (re)entry of its lowest-index nonzero coordinate, and cells come in
-    the order of the coordinate maps (coordinate, then entry).
-    """
-    r = w.rank
-    A = lamp if lamp is not None else ZrHandle(r)
+    """Image of the word w in Z^r wr Q: the cell map that _cell_walk builds
+    over the images of w's prefixes in Q, ending at the image of w."""
     prefixes = _prefixes(w, Q)
-    terms = [{} for _ in range(r)]
-    for k, let in enumerate(w.letters):
-        if let > 0:
-            (q, qk), t, c = prefixes[k], terms[let - 1], 1
-        else:
-            (q, qk), t, c = prefixes[k + 1], terms[-let - 1], -1
-        old = t.get(qk)
-        if old is None:
-            t[qk] = (q, c)
-        elif old[1] + c:
-            t[qk] = (old[0], old[1] + c)
-        else:
-            del t[qk]
-    cells: dict = {}
-    for i, t in enumerate(terms):
-        for qk, (q, c) in t.items():
-            if qk not in cells:
-                cells[qk] = (q, [0] * r)
-            cells[qk][1][i] = c
-    f = {qk: (q, tuple(vec)) for qk, (q, vec) in cells.items()}
-    return WreathElement(A, Q, f, prefixes[-1][0])
+    A = lamp if lamp is not None else ZrHandle(w.rank)
+    return WreathElement(A, Q, _cell_walk(w, A, prefixes), prefixes[-1][0])
 
 
 def _prefixes(w: FreeWord, Q: GroupHandle) -> list:
@@ -122,66 +89,62 @@ def _prefixes(w: FreeWord, Q: GroupHandle) -> list:
     return out
 
 
-def _flow_snapshots(w: FreeWord, S: "SolvableGroup", below: list) -> list:
-    """The prefixes of w in S = S_{r,d}, given their images `below` in
-    S_{r,d-1}, from one walk over w.
-
-    The walk keeps the running cell map of the prefix's Magnus form
-    (position key -> (representative, lamp vector)) and the running set of
-    its (position key, lamp vector) cells; each letter changes one cell.
-    Every prefix gets its FormKey now, a frozenset of the running set,
-    which is C-level and reuses the stored hashes.  Its form is left to a
-    _FlowWalk, which records each letter's cell change and builds every
-    prefix's form on the first read of any, and its word to the element,
-    which holds w and the prefix length k and slices w[:k] when its word
-    is first read.  Representatives follow
-    w_multiply's rule, so a prefix's form equals its product form: a cell
-    keeps the prefix at which it last became nonzero.
-    """
-    A = S.lamp
+def _cell_walk(w: FreeWord, A: ZrHandle, below: list, step=None) -> dict:
+    """The cell map (position key -> (representative, lamp vector)) of w's
+    Magnus form over the images `below` of w's prefixes: x_i adds A's i-th
+    generator at the prefix before it, x_i^-1 subtracts it at the prefix
+    after it.  A cell keeps its place and the prefix at which it last
+    became nonzero, w_multiply's rule.  step(position key, old cell, new
+    cell), if given, sees each letter's change, None for an absent cell."""
     steps = {i: g for i, (_, g) in enumerate(A.generators(), 1)}  # x_i moves coordinate i
     steps.update({-i: A.invert(g) for i, g in list(steps.items())})
-    letters = w.letters
     cells: dict = {}
-    live: set = set()
-    walk = _FlowWalk(S, below)
-
-    def prefix(k):
-        key = FormKey(below[k][1], frozenset(live))
-        walk.keys.append(key)
-        return SolvableElement(S, w, None, key, walk, k), key
-
-    out = [prefix(0)]
-    for k, let in enumerate(letters):
+    for k, let in enumerate(w.letters):
         q, qk = below[k] if let > 0 else below[k + 1]
         vec = steps[let]
         old = cells.get(qk)
         if old is not None:
-            live.remove((qk, old[1]))
             q, vec = old[0], A.multiply(old[1], vec)
         if any(vec):
-            cell = cells[qk] = (q, vec)  # in place: the cell order is w_multiply's
-            live.add((qk, vec))
+            cell = cells[qk] = (q, vec)
         else:
             cell = None
             del cells[qk]
+        if step is not None:
+            step(qk, old, cell)
+    return cells
+
+
+def _flow_snapshots(w: FreeWord, S: "SolvableGroup", below: list) -> list:
+    """The prefixes of w in S = S_{r,d}, given their images `below` in
+    S_{r,d-1}.  Beside the _cell_walk of w runs the set of the prefix's
+    (position key, lamp vector) cells, and each prefix gets its FormKey
+    now, a frozenset of that set (C-level, reusing stored hashes).  Its
+    form is left to a _FlowWalk and its word to the element, which holds
+    w and the prefix length k and slices w[:k] when first read."""
+    live: set = set()
+    walk = _FlowWalk(S, below)
+    walk.keys.append(FormKey(below[0][1], frozenset()))
+
+    def step(qk, old, cell):
+        if old is not None:
+            live.remove((qk, old[1]))
+        if cell is not None:
+            live.add((qk, cell[1]))
         walk.changes.append((qk, cell))
-        out.append(prefix(k + 1))
-    return out
+        walk.keys.append(FormKey(below[len(walk.changes)][1], frozenset(live)))
+
+    _cell_walk(w, S.lamp, below, step)
+    return [(SolvableElement(S, w, None, key, walk, k), key) for k, key in enumerate(walk.keys)]
 
 
 class _FlowWalk:
     """The forms of the prefixes of one word at one derived level, built
-    together on the first read of any.
-
-    It holds what _flow_snapshots recorded (the prefixes' images below,
-    their keys, and each letter's cell change: the position key and the
-    new cell, None where it vanished) and replays the changes into one
-    running cell map, copying it once per prefix.  The forms are indexed
-    by prefix length, the k that each prefix element holds, so the walk
-    refers to none of its prefix elements and they collect without the
-    cycle collector.
-    """
+    together on the first read of any by replaying the recorded cell
+    changes (position key, new cell or None) into one running map, copied
+    once per prefix.  Forms are indexed by prefix length, so the walk
+    refers to no prefix element and they collect without the cycle
+    collector."""
 
     __slots__ = ("group", "below", "keys", "changes", "forms")
 
@@ -320,19 +283,14 @@ def _forest_lower(D) -> int:
 def _zero_one_distances(form: WreathElement, comps, verts):
     """Distance matrices (upper, lower) of the flow-support components in
     the 0/1 metric: support edges are free, every other Cayley edge costs
-    one.
-
-    Support edges join vertices of one component only, so an off-support
-    walk splits at the component vertices it touches into hops that use no
-    support edge, each costing at least the base distance between its
-    ends; and a base geodesic realises any hop at most at that cost.  The
-    metric is therefore the shortest-path closure (Floyd-Warshall) of the
-    nearest base distances between components: sum |C_i||C_j| base
-    distances and m^3 steps, with no search of the Cayley graph.  Over
-    Z^r the base distance is exact and the two matrices are one object.
-    Over S_{r,k}, k >= 2, the base's own geodesic_length can read too long
-    (a path where the geodesic is a Steiner tree, ROADMAP item 1), so each
-    base distance is bracketed by _length_bounds instead, and the two
+    one.  Support edges join vertices of one component only, so an
+    off-support walk splits at the component vertices it touches into
+    hops that each cost at least the base distance between their ends,
+    which a base geodesic realises: the metric is the shortest-path
+    closure of the nearest base distances between components, with no
+    search of the Cayley graph.  Over Z^r the two matrices are one
+    object; over S_{r,k}, k >= 2, whose own lengths can read too long,
+    each base distance is bracketed by _length_bounds, and the two
     closures are exact where they agree.
     """
     Q = form.base
@@ -355,21 +313,19 @@ def _zero_one_distances(form: WreathElement, comps, verts):
 
 def offsupport_connection_cost(form: WreathElement, config: RunConfig = DEFAULT) -> Measure:
     """Minimal number of non-support edges in a walk visiting every support
-    vertex and the identity; support edges may be reused freely.
+    vertex and the identity; support edges may be reused freely, and the
+    component distances come from _zero_one_distances.
 
-    Within a support component travel is free.  The component distances
-    are the closure of the nearest base distances between components
-    (_zero_one_distances), so they cost what a base distance costs and
-    search no region.  Over Z^r (d = 2) the cost is read as a path-TSP
-    over components in the 0/1 metric with free endpoints, solved by
-    wreath.path_tsp: exact when the path found meets its lower bound, the
-    largest component distance, which also bounds the cheapest connecting
-    forest from below, or while the component count stays within
-    config.travel_exact_max; a flagged upper bound otherwise.  In S_{r,d}
-    with d >= 3 it is a minimum spanning tree of the upper matrix, a
-    forest that a walk realises and never longer than a path, and exact
-    only when it meets _forest_lower of the lower matrix, its lower: the
-    cheapest forest may branch at elements of no component.
+    Over Z^r (d = 2) the cost is read as a path-TSP over components with
+    free endpoints (wreath.path_tsp): exact when the path meets its lower
+    bound, the largest component distance, which also bounds the cheapest
+    connecting forest; marked exact too while the component count stays
+    within config.travel_exact_max, though the subset program certifies
+    only the best path, which can be longer than the cheapest forest, the
+    true cost (ROADMAP item 1); flagged otherwise.  At d >= 3 it is a
+    minimum spanning tree of the upper matrix, a forest that a walk
+    realises, exact only when it meets _forest_lower of the lower matrix:
+    the cheapest forest may branch at elements of no component.
     """
     if not form.f:
         return Measure.exactly(0)
@@ -390,14 +346,10 @@ def offsupport_connection_cost(form: WreathElement, config: RunConfig = DEFAULT)
 class SolvableElement:
     """An element of S_{r,d} for d >= 2: its image under the Magnus
     embedding (the normal form), plus its representative word for JSON
-    and repr.
-
-    The form is built on first use unless given: embedded from the word,
-    or, for a prefix made by _flow_snapshots, read from its _FlowWalk.
-    Such a prefix carries its FormKey from the start, so keys, equality
-    and hashing never build its form, and it holds the walked word and
-    its own length k in place of a word: the first read of .word slices
-    the first k letters, keeps them and lets go of the walked word.
+    and repr.  The form is built on first use unless given: embedded from
+    the word, or, for a prefix made by _flow_snapshots, read from its
+    _FlowWalk.  Such a prefix carries its FormKey from the start, and it
+    holds the walked word and its length k until .word is first read.
     """
 
     __slots__ = ("group", "_word", "_source", "_k", "_form", "_key", "_walk")
@@ -451,13 +403,10 @@ class SolvableElement:
 
 
 class SolvableGroup(GroupHandle):
-    """S_{r,d} = F/F^(d) for d >= 2, as a handle.
-
-    Arithmetic composes Magnus forms in Z^r wr S_{r,d-1} (the embedding is
-    a homomorphism) and concatenates the representative words beside them;
-    no reduced normal word is attempted.  Distance is the exact
-    flow-length formula over the base quotient S_{r,d-1}, read off the
-    form under the group's config.
+    """S_{r,d} = F/F^(d) for d >= 2, as a handle: arithmetic composes
+    Magnus forms in Z^r wr S_{r,d-1} (the embedding is a homomorphism) and
+    concatenates the representative words beside them, and distance is
+    geodesic_length under the group's config, raising where not exact.
     """
 
     kind = "free_solvable"

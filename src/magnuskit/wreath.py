@@ -630,9 +630,9 @@ class ConjugacyResult:
 
 
 def base_part_candidates(u: WreathElement, v: WreathElement):
-    """Yield base parts z with bz = zc, in a fixed order, such that
+    """Yield candidate base parts z, in a fixed order, such that
     u = (f, b) and v = (g, c) are conjugate iff conjugator_for_z finds a
-    conjugator at one of them.
+    conjugator at one of them; it rejects first the z with bz != zc.
 
     Non-inert pairs: take a support point p of g whose coset projects
     nontrivially.  A conjugator (h, z) must carry the coset <c>p onto a
@@ -656,13 +656,11 @@ def _base_parts(u: WreathElement, v: WreathElement, p):
     B = u.base
     if p is not None:
         pinv = B.invert(p)
-        zs = (B.multiply(s, pinv) for s in u.support())  # distinct: s -> s p^-1 is injective
+        yield from (B.multiply(s, pinv) for s in u.support())  # distinct: s -> s p^-1 is injective
     else:
         z0 = B.conjugator(u.b, v.b)
-        zs = [] if z0 is None else [z0]
-    for z in zs:
-        if B.key(B.multiply(u.b, z)) == B.key(B.multiply(z, v.b)):
-            yield z
+        if z0 is not None:
+            yield z0
 
 
 def _decision_case(u: WreathElement, v: WreathElement):

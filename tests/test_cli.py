@@ -111,27 +111,31 @@ def _lamp_free(word):
 
 def test_wreath_conj_inert_pair_over_free_solvable_base(capsys, monkeypatch):
     # lamp-free pairs are decided by conjugacy in S_{2,2}, not by a ball
-    # scan: each level of the recursion tries at most one base part
+    # scan: each level of the recursion tries at most one base part with
+    # bz = zc, among at most |Supp f| candidates
     calls = []
     build = wreath.conjugator_for_z
 
-    def counting(*args):
-        calls.append(1)
-        return build(*args)
+    def counting(u, v, z):
+        B = u.base
+        calls.append(B.key(B.multiply(u.b, z)) == B.key(B.multiply(z, v.b)))
+        return build(u, v, z)
 
     monkeypatch.setattr(wreath, "conjugator_for_z", counting)
     code, out, _ = run(
         capsys, "wreath-conj", _lamp_free([1, 1]), _lamp_free([1, 2]),
         "--lamp", '{"kind":"Zr","r":1}', "--base", S22_DESC,
     )
-    assert code == 1 and not calls
+    # x1^2 and x1 x2 have different images in Z^2: the forms' two
+    # candidates fail bz = zc
+    assert code == 1 and len(calls) <= 2 and not any(calls)
     payload = json.loads(out)
     assert payload["complete"] is True and payload["case"] == "inert-base"
     code, out, _ = run(
         capsys, "wreath-conj", _lamp_free([1]), _lamp_free([-2, 1, 2]),
         "--lamp", '{"kind":"Zr","r":1}', "--base", S22_DESC,
     )
-    assert code == 0 and len(calls) <= 3
+    assert code == 0 and sum(calls) <= 3
     witness = json.loads(out)["witness"]
     assert witness["f"] == [] and witness["b"]["word"] == [2]
 
@@ -395,8 +399,8 @@ EMBED_OUTPUT = {
         "b": [-1, 1],
     },
     # the walk comes back to the class of x2^-1 after a prefix that is
-    # trivial in S_{2,2}; each cell is printed at the prefix where its
-    # lowest nonzero coordinate last entered
+    # trivial in S_{2,2}; each cell is printed at the prefix where it last
+    # became nonzero, as in the product of the letters' forms
     3: {
         "f": [
             {"at": _s22(EMBED_D3_WORD), "val": [-1, 0]},
@@ -414,8 +418,8 @@ EMBED_OUTPUT = {
         ],
         "b": _s22(EMBED_D3_WORD),
     },
-    # 6,296 bytes, pinned by digest
-    4: "3c54878df1b2e6b8e60e1108de65f06f6bd8f413486afcac394750d2298abe81",
+    # 6,107 bytes, pinned by digest
+    4: "4e1870a601bff7d09ebbe09659ae323560cd9eacc4456ccfda6e50b90524df52",
 }
 
 
@@ -520,6 +524,19 @@ def test_bad_config_key_is_parse_error(capsys, tmp_path, key):
     cfgfile.write_text(json.dumps({key: 1}))
     code, _, err = run(capsys, "--config", str(cfgfile), "selftest", "--list")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text", ['{"travel_exact_max": "9"}', '{"travel_exact_max": null}', '{"travel_exact_max": 2.5}',
+             '{"travel_exact_max": true}', '{"travel_exact_max": -1}', "[]", "[1]", '"x"', "9"],
+)
+def test_bad_config_value_is_parse_error(capsys, tmp_path, text):
+    # a config that is not an object, or a threshold that is not a
+    # non-negative integer, exits 2 before the command runs
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(text)
+    code, out, err = run(capsys, "--config", str(cfgfile), "len", "x1 x2", "--r", "2", "--d", "2")
+    assert code == 2 and out == "" and "parse error" in err
 
 
 def test_toml_config_is_parse_error(capsys, tmp_path):
