@@ -1,7 +1,7 @@
 """magnuskit: exact word metrics, Fox calculus, and conjugacy machinery for
 free solvable groups and restricted wreath products."""
 
-from .config import DEFAULT, RunConfig
+from .config import DEFAULT, RunConfig, using
 from .errors import BeyondCapError, InvariantViolation
 from .words import FreeWord, commutator, nested_commutator_sample, random_word
 from .groups import (

@@ -17,6 +17,7 @@ import time
 from functools import reduce
 from operator import mul
 
+from .config import DEFAULT, using
 from .errors import InvariantViolation
 from .fox import free_handle, projected_derivatives, verify_fundamental
 from .groups import ZrHandle, HeisenbergHandle, ball_layers
@@ -512,11 +513,12 @@ ACCEPTANCE = [
 
 
 def run_check(name):
-    """Run one named check; returns (ok, detail, elapsed_seconds)."""
+    """Run one named check at the shipped DEFAULT; returns (ok, detail, elapsed_seconds)."""
     fn = next(f for n, f, _ in ACCEPTANCE if n == name)
     start = time.perf_counter()
     try:
-        detail = fn()
+        with using(DEFAULT):
+            detail = fn()
         return True, detail, time.perf_counter() - start
     except AssertionError as exc:
         return False, str(exc), time.perf_counter() - start

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
 
-from .config import DEFAULT, RunConfig
 from .errors import InvariantViolation
 from .groups import GroupHandle
 from .wreath import (
@@ -101,8 +100,8 @@ def _distortions(B: GroupHandle, x, n_max: int) -> list:
 
 def cyclic_distortion(B: GroupHandle, x, n: int) -> int:
     """delta_<x>(n) = max { m : |x^m| <= n }, exactly, over the window of
-    powers that B derives for x.  A length beyond the config's exact range
-    raises BeyondCapError: it says nothing about |x^m| <= n."""
+    powers that B derives for x.  A length not exact under the threshold
+    in force raises BeyondCapError: it says nothing about |x^m| <= n."""
     return _distortions(B, x, n)[-1]
 
 
@@ -175,10 +174,12 @@ def _verify_witness(u, v, witness):
         raise InvariantViolation("family witness failed the conjugation identity")
 
 
-def central_family(spec: FamilySpec, n: int, config: RunConfig = DEFAULT) -> FamilyInstance:
-    """The distorted-centre conjugate pair at parameter n, with its
+def central_family(spec: FamilySpec, n: int) -> FamilyInstance:
+    """The distorted-centre conjugate pair at parameter n >= 0, with its
     constructed witness (h, e) verified exactly and the size sandwich
     n <= |u|+|v| <= 4n + 4|y| + 2|x| + 4 checked."""
+    if n < 0:  # no family pair: a bad argument, not a violated invariant
+        raise ValueError(f"family size n must be nonnegative, got {n}")
     spec.validate()
     A, B = spec.A, spec.B
     x, y, a = spec.x, spec.y, spec.lamp_value()
@@ -200,8 +201,7 @@ def central_family(spec: FamilySpec, n: int, config: RunConfig = DEFAULT) -> Fam
     witness = wreath_element(A, B, pairs, e)
     _verify_witness(u, v, witness)
 
-    u_len = w_length(u, config)
-    v_len = w_length(v, config)
+    u_len, v_len = w_length(u), w_length(v)
     if u_len.exact and v_len.exact:
         total = u_len.value + v_len.value
         lx = B.distance(e, x)
@@ -227,7 +227,7 @@ class MinScanResult:
     bound: int
 
 
-def _min_conjugator(inst: FamilyInstance, bound: int, config: RunConfig) -> MinScanResult:
+def _min_conjugator(inst: FamilyInstance, bound: int) -> MinScanResult:
     """The family's scan result: the shortest conjugator (by value) at a
     power of b = inst.u.b, raising when a measured lower bound is below
     ``bound``.
@@ -248,14 +248,14 @@ def _min_conjugator(inst: FamilyInstance, bound: int, config: RunConfig) -> MinS
     w = next((w for j, w in found if j is not None), None)
     if w is None:
         return MinScanResult(None, 0, clean, bound)
-    first = w_length(w, config)
+    first = w_length(w)
     r = step_radius(u, w, first.value)
     stepped = [*reversed(step_conjugators(u, v, w, -r)), w, *step_conjugators(u, v, w, r)]
     best, low = (first.value, r, first), first.lower  # best: (value, index, length)
     for floor, i in sorted((w_length_floor(c), i) for i, c in enumerate(stepped) if i != r):
         if floor > best[0]:
             break
-        m = w_length(stepped[i], config)
+        m = w_length(stepped[i])
         low = min(low, m.lower)
         best = min(best, (m.value, i, m))  # indices differ: lengths are never compared
     # the family's reason for existing; the sound lower field makes this
@@ -265,27 +265,25 @@ def _min_conjugator(inst: FamilyInstance, bound: int, config: RunConfig) -> MinS
     return MinScanResult(best[2], len(stepped), clean, bound)
 
 
-def central_family_min_conjugator(
-    spec: FamilySpec,
-    n: int,
-    config: RunConfig = DEFAULT,
-) -> MinScanResult:
+def central_family_min_conjugator(spec: FamilySpec, n: int) -> MinScanResult:
     """Shortest verified conjugator along <x> for the central family at n
     (_min_conjugator), asserting the bound 4*delta(n)."""
-    inst = central_family(spec, n, config)
-    return _min_conjugator(inst, 4 * inst.delta, config)
+    inst = central_family(spec, n)
+    return _min_conjugator(inst, 4 * inst.delta)
 
 
-def z2_triangle_family(spec: FamilySpec, n: int, config: RunConfig = DEFAULT) -> FamilyInstance:
-    """The triangle conjugate pair at parameter n over a Z^2 inside B, with
+def z2_triangle_family(spec: FamilySpec, n: int) -> FamilyInstance:
+    """The triangle conjugate pair at parameter n >= 0 over a Z^2 inside B, with
     its witness (h, e) verified exactly and the size envelopes
     4n+2 <= |u| <= 4n|x| + |y| + 2n + 1 (and the xy analogue for v) checked
     wherever the lengths are exact.
 
-    Supports have 2n+1 points on a line, so past the config's exact travel
-    threshold the detour lower bound still certifies |u| and |v| for the
-    axis and diagonal pairs over Z^2; the caller's config is used as given.
+    Supports have 2n+1 points on a line, so past the exact travel
+    threshold in force the detour lower bound still certifies |u| and |v|
+    for the axis and diagonal pairs over Z^2.
     """
+    if n < 0:
+        raise ValueError(f"family size n must be nonnegative, got {n}")
     spec.validate()
     A, B = spec.A, spec.B
     x, y, a = spec.x, spec.y, spec.lamp_value()
@@ -311,8 +309,7 @@ def z2_triangle_family(spec: FamilySpec, n: int, config: RunConfig = DEFAULT) ->
     witness = wreath_element(A, B, pairs, e)
     _verify_witness(u, v, witness)
 
-    u_len = w_length(u, config)
-    v_len = w_length(v, config)
+    u_len, v_len = w_length(u), w_length(v)
     lx = B.distance(e, x)
     ly = B.distance(e, y)
     lxy = B.distance(e, B.multiply(x, y))
@@ -323,13 +320,13 @@ def z2_triangle_family(spec: FamilySpec, n: int, config: RunConfig = DEFAULT) ->
     return FamilyInstance(u, v, witness, n, u_len, v_len)
 
 
-def z2_min_conjugator(spec: FamilySpec, n: int, config: RunConfig = DEFAULT) -> MinScanResult:
+def z2_min_conjugator(spec: FamilySpec, n: int) -> MinScanResult:
     """Shortest verified conjugator along <y> for the triangle family at n
     (_min_conjugator), asserting the quadratic bound n^2 + n.  Witness
     supports are quadratic, so lengths may carry upper-bound flags; the
     lamp count alone carries the bound, so the sound lower fields do.
     """
-    return _min_conjugator(z2_triangle_family(spec, n, config), n * n + n, config)
+    return _min_conjugator(z2_triangle_family(spec, n), n * n + n)
 
 
 # -- randomized conjugacy-length scan --------------------------------------
@@ -352,14 +349,7 @@ def first_witness_scan(u, v):
     return conjugacy_test(u, v).witness
 
 
-def clf_scan(
-    A: GroupHandle,
-    B: GroupHandle,
-    samples: int,
-    n_max: int,
-    seed: int,
-    config: RunConfig = DEFAULT,
-) -> list[ScanRow]:
+def clf_scan(A: GroupHandle, B: GroupHandle, samples: int, n_max: int, seed: int) -> list[ScanRow]:
     """Generate conjugate pairs (u, gamma^-1 u gamma), u and gamma products
     of at most three generators, find a verified conjugator for each, and
     compare its length against the closed-form bound; rows record the
@@ -375,7 +365,7 @@ def clf_scan(
         u = random_wreath_element(A, B, rng, rng.randint(0, 3))
         gamma = random_wreath_element(A, B, rng, rng.randint(0, 3))
         v = w_conjugate(u, gamma)
-        lu, lv = w_length(u, config), w_length(v, config)
+        lu, lv = w_length(u), w_length(v)
         if not (lu.exact and lv.exact):
             continue
         n = lu.value + lv.value
@@ -385,7 +375,7 @@ def clf_scan(
         witness = first_witness_scan(u, v)
         if witness is None:
             raise InvariantViolation("constructed conjugate pair lost its conjugator")
-        wlen = w_length(witness, config)
+        wlen = w_length(witness)
         # an inert pair moves only the base part B.conjugator(b, c): the
         # identity in abelian B, some conjugator (not always a shortest) otherwise
         P = n if is_inert(u) else 7 * n

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (and "equal"/"conjugate" for eq/conj), 1 negative
 decision, 2 parse error, 3 beyond-cap, 4 invariant violation.  Sampling
-commands require --seed.  Run caps come from an optional JSON config
-file; the only environment variable honoured is NO_COLOR.
+commands require --seed.  The threshold travel_exact_max comes from an
+optional JSON --config file, in force for the whole command but
+selftest; the only environment variable honoured is NO_COLOR.
 """
 
 import argparse
@@ -12,7 +13,7 @@ import os
 import sys
 
 from . import acceptance
-from .config import DEFAULT, RunConfig
+from .config import DEFAULT, RunConfig, using
 from .errors import BeyondCapError, InvariantViolation
 from .fox import fox_derivative, projected_derivative
 from .groups import GroupHandle, ZrHandle, handle_from_descriptor
@@ -40,12 +41,12 @@ def _parse_word(text: str, rank: int) -> FreeWord:
     return parse_text(text, rank)
 
 
-def _parse_group(text: str, cfg: RunConfig) -> GroupHandle:
-    return handle_from_descriptor(json.loads(text), cfg)
+def _parse_group(text: str) -> GroupHandle:
+    return handle_from_descriptor(json.loads(text))
 
 
 def _load_config(args) -> RunConfig:
-    if not getattr(args, "config", None):
+    if not args.config:
         return DEFAULT
     try:
         with open(args.config, "rb") as fh:
@@ -64,11 +65,10 @@ def _emit_rows(rows, fmt):
         print(rows_to_csv(rows), end="")
 
 
-def cmd_fox(args, cfg):
-    rank = args.rank
-    w = _parse_word(args.word, rank)
+def cmd_fox(args):
+    w = _parse_word(args.word, args.rank)
     if args.quotient:
-        Q = _parse_group(args.quotient, cfg)
+        Q = _parse_group(args.quotient)
         der = projected_derivative(w, args.i, Q)
     else:
         der = fox_derivative(w, args.i)
@@ -76,33 +76,33 @@ def cmd_fox(args, cfg):
     return 0
 
 
-def cmd_embed(args, cfg):
+def cmd_embed(args):
     w = _parse_word(args.word, args.r)
-    Q = solvable_group(args.r, args.d - 1, cfg)
+    Q = solvable_group(args.r, args.d - 1)
     print(json.dumps(element_to_json(magnus_embed(w, Q))))
     return 0
 
 
-def _solvable_pair(args, cfg):
-    G = solvable_group(args.r, args.d, cfg)
+def _solvable_pair(args):
+    G = solvable_group(args.r, args.d)
     u = G.from_word(_parse_word(args.u, args.r))
     v = G.from_word(_parse_word(args.v, args.r))
     return G, u, v
 
 
-def cmd_eq(args, cfg):
-    G, u, v = _solvable_pair(args, cfg)
+def cmd_eq(args):
+    G, u, v = _solvable_pair(args)
     return 0 if G.key(u) == G.key(v) else 1
 
 
-def cmd_len(args, cfg):
+def cmd_len(args):
     w = _parse_word(args.word, args.r)
     if args.d == 1:
         Z = ZrHandle(args.r)
         print(f"{Z.distance(Z.identity, Z.from_word(w))} exact")
         return 0
-    G = solvable_group(args.r, args.d, cfg)
-    m = geodesic_length(G.from_word(w), cfg)
+    G = solvable_group(args.r, args.d)
+    m = geodesic_length(G.from_word(w))
     print(f"{m.value} {'exact' if m.exact else 'upper-bound'}")
     return 0
 
@@ -115,27 +115,26 @@ def _print_decision(res: ConjugacyResult, **extra) -> int:
     return 0 if res.conjugate else 1
 
 
-def cmd_conj(args, cfg):
-    G, u, v = _solvable_pair(args, cfg)
+def cmd_conj(args):
+    G, u, v = _solvable_pair(args)
     if args.d == 1:  # abelian: conjugate iff equal
         return _print_decision(ConjugacyResult(G.key(u) == G.key(v), None, True, "abelian"))
     return _print_decision(solvable_conjugacy_test(u, v))
 
 
-def cmd_wreath_conj(args, cfg):
-    A = _parse_group(args.lamp, cfg)
-    B = _parse_group(args.base, cfg)
+def cmd_wreath_conj(args):
+    A, B = _parse_group(args.lamp), _parse_group(args.base)
     u = element_from_json(json.loads(args.u), A, B)
     v = element_from_json(json.loads(args.v), A, B)
     res = conjugacy_test(u, v)
     if res.witness is None:
         return _print_decision(res)
-    m = w_length(res.witness, cfg)
+    m = w_length(res.witness)
     return _print_decision(res, witness_length=m.value, witness_length_exact=m.exact)
 
 
-def cmd_distortion(args, cfg):
-    B = _parse_group(args.group, cfg)
+def cmd_distortion(args):
+    B = _parse_group(args.group)
     rank = len(B.generators())
     x = B.from_word(_parse_word(args.x, rank))
     rows = distortion_scan(B, x, args.n_max, seed=args.seed)
@@ -143,19 +142,18 @@ def cmd_distortion(args, cfg):
     return 0
 
 
-def cmd_family(args, cfg):
-    B = _parse_group(args.group, cfg)
-    A = ZrHandle(1)
+def cmd_family(args):
+    B = _parse_group(args.group)
     rank = len(B.generators())
     x = B.from_word(_parse_word(args.x, rank))
     y = B.from_word(_parse_word(args.y, rank))
-    spec = FamilySpec(A, B, x, y, args.kind)
+    spec = FamilySpec(ZrHandle(1), B, x, y, args.kind)
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         if args.kind == "central":
-            scan = central_family_min_conjugator(spec, n, config=cfg)
+            scan = central_family_min_conjugator(spec, n)
         else:
-            scan = z2_min_conjugator(spec, n, config=cfg)
+            scan = z2_min_conjugator(spec, n)
         measured = scan.min_length.value if scan.min_length else -1
         exact = bool(scan.min_length and scan.min_length.exact)
         rows.append(ScanRow(n, measured, scan.bound, exact, measured, args.seed))
@@ -163,15 +161,14 @@ def cmd_family(args, cfg):
     return 0
 
 
-def cmd_clf_scan(args, cfg):
-    A = _parse_group(args.lamp, cfg)
-    B = _parse_group(args.base, cfg)
-    rows = clf_scan(A, B, args.samples, args.n_max, seed=args.seed, config=cfg)
+def cmd_clf_scan(args):
+    A, B = _parse_group(args.lamp), _parse_group(args.base)
+    rows = clf_scan(A, B, args.samples, args.n_max, seed=args.seed)
     _emit_rows(rows, args.format)
     return 0
 
 
-def cmd_selftest(args, cfg):
+def cmd_selftest(args):
     if args.list:
         for name, _, budget in acceptance.ACCEPTANCE:
             print(f"{name}{'' if budget is None else f'  (budget {budget:.0f}s)'}")
@@ -284,8 +281,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = _load_config(args)
-        return args.fn(args, cfg)
+        with using(_load_config(args)):
+            return args.fn(args)
     except BeyondCapError as exc:
         print(f"beyond-cap: {exc}", file=sys.stderr)
         return 3

@@ -1,11 +1,17 @@
-"""Run-wide tunables for the metric and conjugacy machinery."""
+"""The run's exactness threshold, in one context variable that
+wreath.path_tsp alone reads.  ``using(cfg)`` puts a config in force for a
+block, as decimal.localcontext does; elsewhere, and in a thread started
+inside one, DEFAULT is in force.  No cached result depends on it: the
+caches are handles, Magnus forms, coset tables and PermHandle's table."""
 
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Exactness threshold.
+    """Exactness threshold, for every level of a computation in its block.
 
     travel_exact_max: largest path-TSP solved exactly (subset dynamic
         program), a non-negative integer counted in travel points for the
@@ -17,9 +23,8 @@ class RunConfig:
         can be longer than the true cost, the cheapest connecting forest;
         at d >= 3 the connection cost is a spanning tree and the threshold
         does not apply.
-    The distances between flow-support components come from the base's word
-    metric, and conjugacy decisions recurse into the lamp and base groups;
-    neither has a knob of its own.
+    Component distances (the base's word metric) and conjugacy decisions
+    have no knob of their own.
     """
 
     travel_exact_max: int = 9
@@ -29,8 +34,17 @@ class RunConfig:
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise ValueError(f"travel_exact_max must be a non-negative integer, not {v!r}")
 
-    def with_(self, **kw) -> "RunConfig":
-        return replace(self, **kw)
-
 
 DEFAULT = RunConfig()
+_current = ContextVar("magnuskit_config", default=DEFAULT)
+current = _current.get  # the RunConfig in force
+
+
+@contextmanager
+def using(cfg: RunConfig):
+    """Put cfg in force for the block."""
+    token = _current.set(cfg)
+    try:
+        yield
+    finally:
+        _current.reset(token)

@@ -2,9 +2,9 @@
 
 
 class BeyondCapError(RuntimeError):
-    """A query left the configured exact-computation range (BFS radius,
-    search window, or node budget).  Retry with a wider cap if the range
-    genuinely matters."""
+    """A query needed a length not certified under the one threshold,
+    RunConfig.travel_exact_max.  Raise it with --config on the command line
+    or config.using in the library if the exact value matters."""
 
 
 class InvariantViolation(AssertionError):

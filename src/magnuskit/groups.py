@@ -27,7 +27,6 @@ from bisect import bisect_left
 from math import gcd, isqrt, lcm
 from operator import add, sub
 
-from .config import DEFAULT, RunConfig
 from .words import FreeWord, identity as word_identity
 
 class GroupHandle:
@@ -107,13 +106,15 @@ class GroupHandle:
         return f"<{type(self).__name__} {self.describe()}>"
 
 
-def handle_from_descriptor(desc: dict, config: RunConfig = DEFAULT) -> GroupHandle:
-    """Build a handle from its descriptor JSON under the run's config.
+def handle_from_descriptor(desc: dict) -> GroupHandle:
+    """Build a handle from its descriptor JSON, which must be an object.
 
     ``{"kind":"free_solvable","r":r,"d":1}`` normalises to Z^r: derived
     length one is the abelianisation.  A Heisenberg descriptor's ``"cap"``
     is ignored: its metric is a closed form.
     """
+    if not isinstance(desc, dict):
+        raise ValueError(f"group descriptor must be a JSON object, not {desc!r}")
     kind = desc.get("kind")
     if kind == "Zr":
         return ZrHandle(int(desc["r"]))
@@ -128,7 +129,7 @@ def handle_from_descriptor(desc: dict, config: RunConfig = DEFAULT) -> GroupHand
     if kind == "free_solvable":
         from .magnus import solvable_group
 
-        return solvable_group(int(desc["r"]), int(desc["d"]), config)
+        return solvable_group(int(desc["r"]), int(desc["d"]))
     raise ValueError(f"unknown group descriptor kind {kind!r}")
 
 

@@ -34,7 +34,6 @@ minimum spanning tree, exact only where a lower bound meets it.
 
 from functools import lru_cache
 
-from .config import DEFAULT, RunConfig
 from .errors import BeyondCapError, InvariantViolation
 from .groups import GroupHandle, ZrHandle
 from .wreath import (
@@ -311,7 +310,7 @@ def _zero_one_distances(form: WreathElement, comps, verts):
     return _closure(up), _closure(low)
 
 
-def offsupport_connection_cost(form: WreathElement, config: RunConfig = DEFAULT) -> Measure:
+def offsupport_connection_cost(form: WreathElement) -> Measure:
     """Minimal number of non-support edges in a walk visiting every support
     vertex and the identity; support edges may be reused freely, and the
     component distances come from _zero_one_distances.
@@ -320,7 +319,7 @@ def offsupport_connection_cost(form: WreathElement, config: RunConfig = DEFAULT)
     free endpoints (wreath.path_tsp): exact when the path meets its lower
     bound, the largest component distance, which also bounds the cheapest
     connecting forest; marked exact too while the component count stays
-    within config.travel_exact_max, though the subset program certifies
+    within the travel_exact_max in force, though the subset program certifies
     only the best path, which can be longer than the cheapest forest, the
     true cost (ROADMAP item 1); flagged otherwise.  At d >= 3 it is a
     minimum spanning tree of the upper matrix, a forest that a walk
@@ -337,7 +336,7 @@ def offsupport_connection_cost(form: WreathElement, config: RunConfig = DEFAULT)
     if isinstance(form.base, SolvableGroup):
         value, lower = _spanning_tree(up), _forest_lower(low)
         return Measure(value, value == lower, lower)
-    return path_tsp([0] * m, up, [0] * m, config)
+    return path_tsp([0] * m, up, [0] * m)
 
 
 # -- free solvable groups -------------------------------------------------------
@@ -406,18 +405,18 @@ class SolvableGroup(GroupHandle):
     """S_{r,d} = F/F^(d) for d >= 2, as a handle: arithmetic composes
     Magnus forms in Z^r wr S_{r,d-1} (the embedding is a homomorphism) and
     concatenates the representative words beside them, and distance is
-    geodesic_length under the group's config, raising where not exact.
+    geodesic_length, raising where it is not exact under the threshold in
+    force (config.using), which reaches the base's distances too.
     """
 
     kind = "free_solvable"
 
-    def __init__(self, r: int, d: int, config: RunConfig = DEFAULT):
+    def __init__(self, r: int, d: int):
         if d < 2:
             raise ValueError("use solvable_group(), which maps d=1 to Z^r")
         self.r = r
         self.d = d
-        self.config = config
-        self.base = solvable_group(r, d - 1, config)
+        self.base = solvable_group(r, d - 1)
         self.lamp = ZrHandle(r)
         self.identity = SolvableElement(self, word_identity(r))
         # built once, so each generator's form is embedded once per handle
@@ -442,9 +441,9 @@ class SolvableGroup(GroupHandle):
         return SolvableElement(self, w)
 
     def distance(self, a: SolvableElement, b: SolvableElement) -> int:
-        m = geodesic_length(self.multiply(self.invert(a), b), self.config)
+        m = geodesic_length(self.multiply(self.invert(a), b))
         if not m.exact:
-            raise BeyondCapError("geodesic length not exact within the configured thresholds")
+            raise BeyondCapError("geodesic length not exact within travel_exact_max")
         return m.value
 
     def order(self, a: SolvableElement):
@@ -525,20 +524,15 @@ class SolvableGroup(GroupHandle):
         return {"kind": "free_solvable", "r": self.r, "d": self.d}
 
 
-def solvable_group(r: int, d: int, config: RunConfig = DEFAULT):
-    """S_{r,d} under a run config, as one handle per (r, d, config), whether
-    the config is passed or defaulted; derived length one is the
-    abelianisation Z^r."""
-    return _solvable_group(r, d, config)
-
-
 @lru_cache(maxsize=None)
-def _solvable_group(r: int, d: int, config: RunConfig):
+def solvable_group(r: int, d: int, /):
+    """S_{r,d} as one handle per (r, d); derived length one is the
+    abelianisation Z^r."""
     if r < 1 or d < 1:
         raise ValueError("rank and derived length must be positive")
     if d == 1:
         return ZrHandle(r)
-    return SolvableGroup(r, d, config)
+    return SolvableGroup(r, d)
 
 
 def solvable_eq(u: SolvableElement, v: SolvableElement) -> bool:
@@ -548,20 +542,19 @@ def solvable_eq(u: SolvableElement, v: SolvableElement) -> bool:
     return u.group.key(u) == v.group.key(v)
 
 
-def geodesic_length(g: SolvableElement, config: RunConfig = DEFAULT) -> Measure:
+def geodesic_length(g: SolvableElement) -> Measure:
     """Exact word length of g in S_{r,d}, read off its Magnus form: total
     edge flow over Cay(S_{r,d-1}) plus twice the off-support connection
     cost."""
-    conn = offsupport_connection_cost(g.form, config)
+    conn = offsupport_connection_cost(g.form)
     total = sum(abs(c) for _, vec in g.form.f.values() for c in vec)
     return Measure(total + 2 * conn.value, conn.exact, total + 2 * conn.lower)
 
 
-def bilipschitz_check(g: SolvableElement, config: RunConfig = DEFAULT):
+def bilipschitz_check(g: SolvableElement):
     """Compare |g| with the wreath length of its Magnus image; the embedding
     changes lengths by at most a factor of two in either direction."""
-    intrinsic = geodesic_length(g, config)
-    embedded = w_length(g.form, config)
+    intrinsic, embedded = geodesic_length(g), w_length(g.form)
     if not (intrinsic.exact and embedded.exact):
         raise BeyondCapError("bilipschitz comparison needs both lengths exact")
     ok = intrinsic.value <= 2 * embedded.value and embedded.value <= 2 * intrinsic.value

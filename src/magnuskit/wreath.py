@@ -13,9 +13,9 @@ where K(S, b) is the length of the shortest Cayley path in B from the
 identity to b visiting every point of S.  K is a path-TSP; path_tsp takes
 a nearest-neighbour + 2-opt path, exact when it meets the sound detour
 lower bound.  One that misses the bound gives way to a subset dynamic
-program up to a configured size and is flagged as an upper bound beyond
-it, so each instance decides its own exactness.  The connection cost of
-the magnus module over a Z^r base uses the same kernel.
+program up to the travel_exact_max in force and is flagged as an upper
+bound beyond it, so each instance decides its own exactness.  The
+connection cost of the magnus module over a Z^r base uses the same kernel.
 
 Conjugacy is decided through coset projections: fix b and a right-coset
 representative t of <b>; the ordered product of the lamp values of f along
@@ -60,7 +60,7 @@ from math import lcm
 from operator import add
 from typing import NamedTuple, Optional
 
-from .config import DEFAULT, RunConfig
+from . import config
 from .errors import BeyondCapError, InvariantViolation
 from .groups import GroupHandle
 
@@ -301,11 +301,11 @@ def w_power_membership(x: WreathElement, b: WreathElement) -> Optional[int]:
 # -- the word metric ---------------------------------------------------------
 
 
-def travel_cost(B: GroupHandle, points, b, config: RunConfig = DEFAULT) -> Measure:
+def travel_cost(B: GroupHandle, points, b) -> Measure:
     """Length of the shortest Cayley path in B from the identity to b
-    visiting every given point: path_tsp over the points, exact while
-    their count stays within config.travel_exact_max or when the path
-    found meets path_tsp's lower bound.
+    visiting every given point: path_tsp over the points, exact when the
+    path found meets path_tsp's lower bound or while their count stays
+    within the travel_exact_max in force (config.using).
 
     The legs from e and the matrix are read a row at a time through
     B.distances: d(e, p), and for each point the distances to the points
@@ -329,10 +329,10 @@ def travel_cost(B: GroupHandle, points, b, config: RunConfig = DEFAULT) -> Measu
     D = []
     for i, p in enumerate(pts):
         D.append([row[i] for row in D] + [0] + B.distances(p, pts[i + 1 :]))
-    return path_tsp(B.distances(e, pts), D, [B.distance(p, b) for p in pts], config)
+    return path_tsp(B.distances(e, pts), D, [B.distance(p, b) for p in pts])
 
 
-def path_tsp(d0, D, dend, config: RunConfig = DEFAULT) -> Measure:
+def path_tsp(d0, D, dend) -> Measure:
     """Cost of the shortest path through n >= 1 points: a leg d0[i] into
     the first point, legs D[i][j] (symmetric, obeying the triangle
     inequality) between points and a leg dend[j] out of the last; all-zero
@@ -342,8 +342,9 @@ def path_tsp(d0, D, dend, config: RunConfig = DEFAULT) -> Measure:
     the lower field the longest forced detour through one point or one
     pair of points.  A path that meets this sound lower bound is optimal,
     so the value is then exact at any n.  One that misses it is replaced
-    by the subset dynamic program's optimum while n stays within
-    config.travel_exact_max, and is returned flagged beyond that.
+    by the subset dynamic program's optimum while n stays within the
+    travel_exact_max in force, and is returned flagged beyond that: the
+    one read of config.current, made only on a miss.
     """
     n = len(d0)
     lower = max(map(add, d0, dend))
@@ -356,7 +357,7 @@ def path_tsp(d0, D, dend, config: RunConfig = DEFAULT) -> Measure:
             if cand > lower:
                 lower = cand
     value = _path_tsp_heuristic(n, d0, D, dend)
-    if value != lower and n <= config.travel_exact_max:
+    if value != lower and n <= config.current().travel_exact_max:
         return Measure.exactly(_path_tsp_exact(n, d0, D, dend))
     return Measure(value, value == lower, lower)
 
@@ -432,9 +433,9 @@ def lamp_weight(u: WreathElement) -> int:
     return sum(A.distances(A.identity, [val for _, val in u.f.values()]))
 
 
-def w_length(u: WreathElement, config: RunConfig = DEFAULT) -> Measure:
+def w_length(u: WreathElement) -> Measure:
     """Word length of (f, b): travel cost of the support plus lamp weight."""
-    return travel_cost(u.base, u.support(), u.b, config) + lamp_weight(u)
+    return travel_cost(u.base, u.support(), u.b) + lamp_weight(u)
 
 
 def w_length_floor(u: WreathElement) -> int:
@@ -644,8 +645,8 @@ def base_part_candidates(u: WreathElement, v: WreathElement):
 
     Inert pairs are conjugate iff b and c are conjugate in B, and then by a
     conjugator with any base part that conjugates b to c (Matthews): the
-    one candidate is B.conjugator(b, c), so the decision recurses into B,
-    which decides under the config it was built with.
+    one candidate is B.conjugator(b, c), so the decision recurses into B;
+    it reads no length, so no config.
     """
     _check_groups(u, v)
     return _base_parts(u, v, _projecting_point(v))
@@ -785,15 +786,14 @@ class WreathGroup(GroupHandle):
     conjugacy machinery can treat it like any other group.
 
     ``distance`` is the exact metric formula; it raises BeyondCapError when
-    the support outgrows the exact travel threshold.
+    the travel cost is not certified under the travel_exact_max in force.
     """
 
     kind = "wreath"
 
-    def __init__(self, lamp: GroupHandle, base: GroupHandle, config: RunConfig = DEFAULT):
+    def __init__(self, lamp: GroupHandle, base: GroupHandle):
         self.lamp = lamp
         self.base = base
-        self.config = config
         self.identity = identity_element(lamp, base)
         self.is_finite = lamp.is_finite and base.is_finite
 
@@ -818,9 +818,9 @@ class WreathGroup(GroupHandle):
         raise NotImplementedError("a wreath product is not a quotient of the free group on its lamps and base moves alone")
 
     def distance(self, a, b) -> int:
-        m = w_length(w_multiply(w_invert(a), b), self.config)
+        m = w_length(w_multiply(w_invert(a), b))
         if not m.exact:
-            raise BeyondCapError("wreath distance support exceeds the exact travel threshold")
+            raise BeyondCapError("wreath length not exact within travel_exact_max")
         return m.value
 
     def order(self, a):

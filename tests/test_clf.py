@@ -3,7 +3,7 @@ import random
 import pytest
 
 from magnuskit import clf, magnus
-from magnuskit.config import DEFAULT
+from magnuskit.config import RunConfig, using
 from magnuskit.errors import BeyondCapError
 from magnuskit.groups import FreeHandle, HeisenbergHandle, PermHandle, ZNHandle, ZrHandle, ball
 from magnuskit.magnus import solvable_group
@@ -74,9 +74,8 @@ def test_distortion_propagates_beyond_cap():
     x = wreath_element(Z1, Z2, [((0, 0), (1,)), ((0, 1), (1,))], (1, 0))
     G = WreathGroup(Z1, Z2)
     assert [G.distance(G.identity, w_power(x, m)) for m in (1, 2, 3, 4)] == [5, 8, 13, 16]
-    capped = WreathGroup(Z1, Z2, DEFAULT.with_(travel_exact_max=3))
-    with pytest.raises(BeyondCapError):
-        cyclic_distortion(capped, x, 13)
+    with using(RunConfig(travel_exact_max=3)), pytest.raises(BeyondCapError):
+        cyclic_distortion(G, x, 13)
 
 
 def _reference_deltas(B, x, n_max, cap, length=None):
@@ -162,7 +161,7 @@ def test_distortion_scan_measures_each_power_once(monkeypatch):
     assert rows[-1].measured == 156 and len(calls) <= 156
     lengths = []
     geodesic = magnus.geodesic_length
-    monkeypatch.setattr(magnus, "geodesic_length", lambda g, cfg: lengths.append(g) or geodesic(g, cfg))
+    monkeypatch.setattr(magnus, "geodesic_length", lambda g: lengths.append(g) or geodesic(g))
     S = solvable_group(2, 2)
     rows = distortion_scan(S, S.from_word(FreeWord(2, (1, 2))), 6)
     assert [r.measured for r in rows] == [0, 1, 1, 2, 2, 3] and len(lengths) <= 3
@@ -255,11 +254,11 @@ def test_length_floor_is_sound_in_both_travel_regimes(base):
 
     regimes = set()
     for exact_max in (9, 3):
-        cfg = DEFAULT.with_(travel_exact_max=exact_max)
         for _ in range(40):
             pairs = [(near(), (rng.choice([-2, -1, 1, 2]),)) for _ in range(rng.randint(0, 8))]
             w = wreath_element(Z1, base, pairs, near())
-            m = w_length(w, cfg)
+            with using(RunConfig(travel_exact_max=exact_max)):
+                m = w_length(w)
             regimes.add(m.exact)
             assert w_length_floor(w) <= m.lower
     assert regimes == {True, False}
@@ -312,9 +311,9 @@ def test_z2_selection_skips_far_witnesses(monkeypatch):
     inst = z2_triangle_family(spec, 6)
     measured = []
 
-    def counting_w_length(u, config=DEFAULT):
+    def counting_w_length(u):
         measured.append(u)
-        return w_length(u, config)
+        return w_length(u)
 
     monkeypatch.setattr(clf, "w_length", counting_w_length)
     scan = z2_min_conjugator(spec, 6)

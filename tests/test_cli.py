@@ -161,6 +161,47 @@ def test_config_caps_reach_free_solvable_base(capsys, tmp_path):
     assert code == 3 and "beyond-cap" in err
 
 
+def test_config_reaches_len_but_not_selftest(capsys, tmp_path):
+    # the file's threshold is in force for a whole command: |W| = 26 needs
+    # the subset program, so a cap of 3 leaves it an upper bound; selftest
+    # checks the shipped claims at the shipped threshold whatever the file
+    W = "x2^-6 x1 x2 x1^-1 x2^3 x1 x2^-1 x1^-1 x2^3 x1^3 x2^-1 x1 x2 x1^-4"
+    cap3, cap0 = tmp_path / "cap3.json", tmp_path / "cap0.json"
+    cap3.write_text(json.dumps({"travel_exact_max": 3}))
+    cap0.write_text(json.dumps({"travel_exact_max": 0}))
+    code, out, _ = run(capsys, "len", W, "--r", "2", "--d", "2")
+    assert code == 0 and out.strip() == "26 exact"
+    code, out, _ = run(capsys, "--config", str(cap3), "len", W, "--r", "2", "--d", "2")
+    assert code == 0 and out.strip() == "26 upper-bound"
+    code, out, _ = run(capsys, "--config", str(cap0), "selftest", "--only", "bilipschitz")
+    assert code == 0 and out.startswith("PASS  bilipschitz")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distortion", "--group", "[]", "--x", "x1", "--seed", "1"],
+        ["fox", "x1", "1", "--quotient", '"Zr"'],
+        ["wreath-conj", "{}", "{}", "--lamp", "[1]", "--base", '{"kind":"Zr","r":1}'],
+        ["wreath-conj", "{}", "{}", "--lamp", '{"kind":"Zr","r":1}', "--base", "3"],
+    ],
+    ids=["group", "quotient", "lamp", "base"],
+)
+def test_descriptor_that_is_not_an_object_is_parse_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "group descriptor must be a JSON object" in err
+
+
+@pytest.mark.parametrize("kind", ["central", "z2"])
+def test_negative_family_size_is_parse_error(capsys, kind):
+    # n < 0 builds no family pair: a bad argument, not a violated invariant
+    argv = ["family", "--kind", kind, "--group", '{"kind":"Zr","r":2}', "--x", "x1", "--y", "x2", "--seed", "1"]
+    code, out, err = run(capsys, *argv, "--n-min", "-1", "--n-max", "-1")
+    assert code == 2 and out == "" and "family size n must be nonnegative" in err
+    code, out, _ = run(capsys, *argv, "--n-min", "0", "--n-max", "0")
+    assert code == 0 and out.splitlines()[-1] == "0,0,0,1,0,1"
+
+
 def test_text_format_is_rejected(capsys):
     code, _, _ = run(
         capsys, "--format", "text", "distortion", "--group", '{"kind":"Zr","r":2}',

@@ -9,7 +9,7 @@ from collections import deque
 import pytest
 
 from magnuskit import magnus, wreath
-from magnuskit.config import DEFAULT, RunConfig
+from magnuskit.config import RunConfig, using
 from magnuskit.errors import BeyondCapError
 from magnuskit.fox import projected_derivatives
 from magnuskit.groups import FreeHandle, HeisenbergHandle, ZrHandle, ball_layers, edge_traversal_counts
@@ -25,7 +25,7 @@ from magnuskit.magnus import (
     solvable_group,
 )
 from magnuskit.wreath import FormKey, WreathGroup, element_to_json, w_length, w_multiply, wreath_element
-from magnuskit.words import FreeWord, commutator, gen, nested_commutator_sample, random_word
+from magnuskit.words import FreeWord, commutator, gen, nested_commutator_sample, parse_text, random_word
 
 Z2 = ZrHandle(2)
 S22 = solvable_group(2, 2)
@@ -665,12 +665,31 @@ def test_component_distances_take_base_distances_only(monkeypatch):
     assert calls["multiply"] == 0
 
 
-def test_one_handle_per_config():
-    # a defaulted and a passed config share one handle, so wreath products
-    # over it take _check_groups' identity fast path
-    assert solvable_group(2, 2) is solvable_group(2, 2, DEFAULT) is solvable_group(2, 2, RunConfig())
-    other = solvable_group(2, 2, DEFAULT.with_(travel_exact_max=3))
-    assert other is not solvable_group(2, 2) and other.config.travel_exact_max == 3
+def test_one_handle_per_r_d():
+    # every call for one (r, d) returns one handle, under any config in
+    # force, so wreath products over it take _check_groups' identity fast
+    # path
+    with using(RunConfig(travel_exact_max=3)):
+        capped = solvable_group(2, 2)
+    assert capped is solvable_group(2, 2) is S22 and S22.base is solvable_group(2, 1)
+
+
+# a 28-letter word of S_{2,2} whose length, 26, needs the subset program at
+# travel_exact_max 9 and stays open at 3 (its bounds are 22 and 26)
+THRESHOLD_WORD = parse_text("x2^-6 x1 x2 x1^-1 x2^3 x1 x2^-1 x1^-1 x2^3 x1^3 x2^-1 x1 x2 x1^-4", 2)
+
+
+def test_one_threshold_reaches_the_formula_and_the_handle():
+    # the config in force reaches the length formula and the handle's
+    # distance alike, and leaving the block restores the default
+    g = S22.from_word(THRESHOLD_WORD)
+    assert len(THRESHOLD_WORD) == 28 and _steiner_length(g.form) == 26
+    assert geodesic_length(g) == (26, True, 26) and S22.distance(S22.identity, g) == 26
+    with using(RunConfig(travel_exact_max=3)):
+        assert geodesic_length(g) == (26, False, 22)
+        with pytest.raises(BeyondCapError):
+            S22.distance(S22.identity, g)
+    assert geodesic_length(g) == (26, True, 26)
 
 
 def _steiner_length(form):
@@ -876,7 +895,8 @@ def test_connection_cost_beyond_the_cap_is_flagged(components, cap):
     # one threshold counts travel points and support components alike
     form = S22.from_word(_loop_word(random.Random(components), components)).form
     assert len(magnus._support_components(form)[0]) == components
-    got = offsupport_connection_cost(form, DEFAULT.with_(travel_exact_max=cap))
+    with using(RunConfig(travel_exact_max=cap)):
+        got = offsupport_connection_cost(form)
     exact = offsupport_connection_cost(form)
     assert not got.exact and exact.exact
     assert got.lower <= exact.value <= got.value

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from magnuskit import wreath
-from magnuskit.config import DEFAULT
+from magnuskit.config import RunConfig, using
 from magnuskit.errors import BeyondCapError
 from magnuskit.clf import random_wreath_element
 from magnuskit.groups import (
@@ -45,7 +45,7 @@ from magnuskit.wreath import (
     wreath_element,
 )
 from magnuskit.magnus import solvable_group
-from magnuskit.words import random_word
+from magnuskit.words import parse_text, random_word
 
 Z = ZrHandle(1)
 Z2 = ZrHandle(2)
@@ -208,16 +208,16 @@ def test_path_tsp_certifies_only_optimal_values():
     from magnuskit.wreath import _path_tsp_exact, path_tsp
 
     rng = random.Random(17)
-    cfg = DEFAULT.with_(travel_exact_max=3)
     beyond = set()
     for _ in range(300):
         n, d0, D, dend = _metric_path_instance(rng)
-        got = path_tsp(d0, D, dend, cfg)
+        with using(RunConfig(travel_exact_max=3)):
+            got = path_tsp(d0, D, dend)
         best = _path_tsp_exact(n, d0, D, dend)
         assert got.lower <= best <= got.value
         if got.exact:
             assert got.value == best
-        if n > cfg.travel_exact_max:
+        if n > 3:
             beyond.add(got.exact)
     assert beyond == {True, False}
 
@@ -231,7 +231,7 @@ def test_path_tsp_equals_the_dp_within_the_exact_range():
     seen = set()
     for _ in range(300):
         n, d0, D, dend = _metric_path_instance(rng)
-        got = path_tsp(d0, D, dend, DEFAULT)
+        got = path_tsp(d0, D, dend)
         assert got == Measure.exactly(_path_tsp_exact(n, d0, D, dend))
         seen.add((n, not any(d0)))
     assert {free for n, free in seen if n > 3} == {True, False}
@@ -333,7 +333,7 @@ def test_path_tsp_heuristic_matches_the_pairwise_reference():
         n, d0, D, dend = _large_metric_path_instance(rng)
         h = _reference_heuristic(n, d0, D, dend)
         lo = _reference_detour_bound(n, d0, D, dend)
-        got = path_tsp(d0, D, dend, DEFAULT)
+        got = path_tsp(d0, D, dend)
         assert got == Measure(h, h == lo, lo)
         exact.add(got.exact)
     assert exact == {True, False}
@@ -406,7 +406,8 @@ def test_travel_cost_upper_bound_mode():
     got = travel_cost(Z2, pts, (0, 0))
     assert not got.exact
     assert got.lower <= got.value
-    exact = travel_cost(Z2, pts, (0, 0), DEFAULT.with_(travel_exact_max=12))
+    with using(RunConfig(travel_exact_max=12)):
+        exact = travel_cost(Z2, pts, (0, 0))
     assert exact.exact
     assert got.lower <= exact.value <= got.value
 
@@ -524,7 +525,7 @@ def test_pi_invariance_for_conjugate_pairs():
 # -- full conjugacy decision -------------------------------------------------------
 
 
-def minimal_conjugator(u, v, z_radius, config=DEFAULT):
+def minimal_conjugator(u, v, z_radius):
     """The radius-bounded brute-force reference: scan every base part in
     ball(B, z_radius) and return the shortest verified conjugator with its
     length, or None."""
@@ -537,7 +538,7 @@ def minimal_conjugator(u, v, z_radius, config=DEFAULT):
             witness = conjugator_for_z(u, v, z)
             if witness is None:
                 continue
-            length = w_length(witness, config)
+            length = w_length(witness)
             if best is None or (length.value, witness.key()) < (best[1].value, best[0].key()):
                 best = (witness, length)
     return best
@@ -979,10 +980,30 @@ def test_wreath_handle_distance_beyond_cap():
     x = wreath_element(Z, Z2, [((0, 0), (1,)), ((0, 1), (1,))], (1, 0))
     u = w_power(x, 3)
     assert w_length(u) == Measure(13, True, 13)
-    G = WreathGroup(Z, Z2, DEFAULT.with_(travel_exact_max=3))
-    assert w_length(u, G.config) == Measure(13, False, 11)
-    with pytest.raises(BeyondCapError):
-        G.distance(G.identity, u)
+    G = WreathGroup(Z, Z2)
+    with using(RunConfig(travel_exact_max=3)):
+        assert w_length(u) == Measure(13, False, 11)
+        with pytest.raises(BeyondCapError):
+            G.distance(G.identity, u)
+
+
+def test_one_threshold_reaches_a_free_solvable_base():
+    # lamps at e and at a 28-letter word W of S_{2,2}, base part x1: the
+    # travel is one point, always certified, but its legs are S_{2,2}
+    # distances, whose exactness |W| = 26 needs the subset program at
+    # travel_exact_max 9 and misses at 3; the threshold in force reaches
+    # them, with no config on either handle
+    S = solvable_group(2, 2)
+    W = S.from_word(parse_text("x2^-6 x1 x2 x1^-1 x2^3 x1 x2^-1 x1^-1 x2^3 x1^3 x2^-1 x1 x2 x1^-4", 2))
+    u = wreath_element(Z, S, [(S.identity, (1,)), (W, (1,))], S.from_word(parse_text("x1", 2)))
+    G = WreathGroup(Z, S)
+    assert w_length(u) == Measure(53, True, 53) and G.distance(G.identity, u) == 53
+    with using(RunConfig(travel_exact_max=3)):
+        with pytest.raises(BeyondCapError):
+            w_length(u)
+        with pytest.raises(BeyondCapError):
+            G.distance(G.identity, u)
+    assert w_length(u) == Measure(53, True, 53)
 
 
 def test_element_json_round_trip():
