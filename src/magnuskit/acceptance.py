@@ -26,6 +26,7 @@ from .magnus import (
     bilipschitz_check,
     geodesic_length,
     magnus_embed,
+    solvable_conjugacy_test,
     solvable_group,
 )
 from .ring import RingElement
@@ -408,7 +409,7 @@ def check_triangle_family_lower_bound():
 def check_solvable_clf_envelope():
     """For seeded conjugate pairs in S_{2,2} with n <= 8, the S_{2,2}
     length of a conjugator stays under the cubic envelope
-    (56n^2+28n)(28n+1)."""
+    (56n^2+28n)(28n+1), and the decision's witness is its Magnus form."""
     S = solvable_group(2, 2)
     rng = random.Random(1300)
     produced = 0
@@ -423,6 +424,8 @@ def check_solvable_clf_envelope():
         produced += 1
         conjugator = S.conjugator(u, v)
         _require(conjugator is not None, "conjugate pair lost its conjugator")
+        witness = solvable_conjugacy_test(u, v).witness
+        _require(witness.key() == conjugator.form.key(), "decision witness is not S.conjugator's form")
         wl = geodesic_length(conjugator)
         _require(wl.exact, "conjugator length lost exactness")
         bound = (56 * n * n + 28 * n) * (28 * n + 1)

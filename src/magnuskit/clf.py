@@ -109,6 +109,8 @@ def distortion_scan(B: GroupHandle, x, n_max: int, seed: int = 0) -> list[ScanRo
     """Rows (n, delta(n), 2n, ...) for n = 1..n_max, all read from one
     pass up to B's window at n_max; witness_len records the realizing
     power."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     deltas = _distortions(B, x, n_max)
     return [
         ScanRow(n, deltas[n], 2 * n, True, deltas[n], seed)
@@ -355,9 +357,9 @@ def clf_scan(A: GroupHandle, B: GroupHandle, samples: int, n_max: int, seed: int
     compare its length against the closed-form bound; rows record the
     comparison and assert measured <= bound.  A negative n_max admits no
     pair (lengths are nonnegative), so it is rejected instead of drawing
-    forever."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    forever, and so is a negative sample count."""
+    if n_max < 0 or samples < 0:
+        raise ValueError(f"n_max and samples must be nonnegative, got {n_max} and {samples}")
     rng = random.Random(seed)
     rows = []
     produced = 0

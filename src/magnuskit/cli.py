@@ -143,6 +143,8 @@ def cmd_distortion(args):
 
 
 def cmd_family(args):
+    if args.n_min > args.n_max:
+        raise ValueError(f"n_min {args.n_min} exceeds n_max {args.n_max}")
     B = _parse_group(args.group)
     rank = len(B.generators())
     x = B.from_word(_parse_word(args.x, rank))

@@ -34,6 +34,7 @@ minimum spanning tree, exact only where a lower bound meets it.
 
 from functools import lru_cache
 
+from . import wreath
 from .errors import BeyondCapError, InvariantViolation
 from .groups import GroupHandle, ZrHandle
 from .wreath import (
@@ -41,8 +42,6 @@ from .wreath import (
     FormKey,
     Measure,
     WreathElement,
-    conjugacy_test,
-    conjugators,
     path_tsp,
     w_invert,
     w_length,
@@ -464,51 +463,8 @@ class SolvableGroup(GroupHandle):
         return w_power_membership(x.form, b.form)
 
     def conjugator(self, b: SolvableElement, c: SolvableElement):
-        """Some z with b z = z c, as a word, or None.
-
-        One walk over wreath.conjugators of the Magnus forms decides.  If
-        b's base part is e, the lift P_z of the first witness's base part
-        conjugates.  Otherwise the first witness w = (h, z) that is an
-        image (divergence delta_e - delta_z) is spelled as
-        prod (P_q x_i P_{q x_i}^-1)^{v_i} * P_z over its flow cells, with
-        one word P_q per vertex, empty at e, so the detours telescope.
-        Images other than e are never inert, and for b != e some
-        candidate's conjugator is an image, so the walk is complete.  The
-        word is re-embedded and verified before being returned.
-        """
-        u, v, Q = b.form, c.form, self.base
-        found = conjugators(u, v)
-        w = next(found, None)
-        if w is None:
-            return None
-        ekey = Q.key(Q.identity)
-        gens = [g for _, g in Q.generators()]
-        words = {ekey: word_identity(self.r)}
-
-        def P(q):  # S_{r,d-1} elements carry a word; Z^r takes the axis path
-            word = q.word if isinstance(q, SolvableElement) else FreeWord(
-                self.r, [i if a > 0 else -i for i, a in enumerate(q, 1) for _ in range(abs(a))]
-            )
-            return words.setdefault(Q.key(q), word)
-
-        def is_image(x):
-            zk = Q.key(x.b)
-            return divergence_of(x) == ({} if zk == ekey else {ekey: 1, zk: -1})
-
-        word = word_identity(self.r)
-        if Q.key(u.b) != ekey:
-            w = w if is_image(w) else next(filter(is_image, found), None)
-            if w is None:
-                raise InvariantViolation("conjugate pair has no image conjugator")
-            for q, vec in w.f.values():
-                for i, (g, n) in enumerate(zip(gens, vec), 1):
-                    if n:
-                        loop = P(q) * FreeWord(self.r, (i,)) * P(Q.multiply(q, g)).inverse()
-                        word = word * loop.power(n)
-        z = self.from_word(word * P(w.b))
-        if self.key(self.multiply(b, z)) != self.key(self.multiply(z, c)):
-            raise InvariantViolation("spelled conjugator failed verification")
-        return z
+        """Some z with b z = z c, spelled by a word (_conjugacy), or None."""
+        return _conjugacy(b, c)[1]
 
     def to_json(self, a: SolvableElement):
         return {"r": self.r, "d": self.d, "word": word_to_json(a.word)}
@@ -561,13 +517,47 @@ def bilipschitz_check(g: SolvableElement):
     return intrinsic, embedded, ok
 
 
-def solvable_conjugacy_test(u: SolvableElement, v: SolvableElement) -> ConjugacyResult:
-    """Conjugacy in S_{r,d}, decided on the Magnus images.
-
-    The base quotient S_{r,d-1} is torsion-free, so conjugacy of the images
-    in the wreath product is equivalent to conjugacy upstairs and the
-    wreath decision transfers verbatim.
+def _conjugacy(b: SolvableElement, c: SolvableElement):
+    """(case, z): the case in which wreath.conjugacy_test decides the
+    Magnus forms of b and c, and z with b z = z c spelled from its witness
+    w = (h, q) and verified, or None.  If b's base part beta is e, the lamp
+    part is free and the lift P_q conjugates.  Otherwise w is an image:
+    div(xy) = div(x) + beta_x div(y) gives (beta - 1)(div w - delta_e +
+    delta_q) = 0, and beta has infinite order, so div w = delta_e - delta_q.
+    It is spelled as prod (P_p x_i P_{p x_i}^-1)^{v_i} * P_q over its flow
+    cells (p, v), one word P_p per vertex, empty at e, so detours telescope.
     """
+    S, Q = b.group, b.group.base
+    res = wreath.conjugacy_test(b.form, c.form)
+    if res.witness is None:
+        return res.case, None
+    ekey = Q.key(Q.identity)
+    gens = [g for _, g in Q.generators()]
+    words = {ekey: word_identity(S.r)}
+
+    def P(q):  # S_{r,d-1} elements carry a word, the first kept per vertex; Z^r takes the axis path
+        if isinstance(q, SolvableElement):
+            return words.setdefault(Q.key(q), q.word)
+        return FreeWord(S.r, [i if a > 0 else -i for i, a in enumerate(q, 1) for _ in range(abs(a))])
+
+    word = word_identity(S.r)
+    if Q.key(b.form.b) != ekey:
+        for q, vec in res.witness.f.values():
+            for i, (g, n) in enumerate(zip(gens, vec), 1):
+                if n:
+                    loop = P(q) * FreeWord(S.r, (i,)) * P(Q.multiply(q, g)).inverse()
+                    word = word * loop.power(n)
+    z = S.from_word(word * P(res.witness.b))
+    if w_multiply(b.form, z.form) != w_multiply(z.form, c.form):
+        raise InvariantViolation("spelled conjugator failed verification")
+    return res.case, z
+
+
+def solvable_conjugacy_test(u: SolvableElement, v: SolvableElement) -> ConjugacyResult:
+    """Conjugacy in S_{r,d}, decided on the Magnus images: S_{r,d-1} is
+    torsion-free, so conjugacy of the images in the wreath product is
+    conjugacy upstairs.  The witness is the form of S.conjugator(u, v)."""
     if u.group != v.group:
         raise ValueError("elements of different free solvable groups")
-    return conjugacy_test(u.form, v.form)
+    case, z = _conjugacy(u, v)
+    return ConjugacyResult(z is not None, z and z.form, True, case)

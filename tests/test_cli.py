@@ -418,6 +418,23 @@ def test_clf_scan_rejects_a_negative_n_max(capsys):
     assert code == 2 and out == "" and "n_max" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["clf-scan", "--lamp", '{"kind":"Zr","r":1}', "--base", '{"kind":"Zr","r":2}',
+         "--samples", "-1", "--n-max", "4", "--seed", "1"],
+        ["distortion", "--group", '{"kind":"Zr","r":2}', "--x", "x1", "--n-max", "-3", "--seed", "1"],
+        ["family", "--kind", "central", "--group", '{"kind":"Zr","r":2}', "--x", "x1", "--y", "x2",
+         "--n-min", "3", "--n-max", "1", "--seed", "1"],
+    ],
+    ids=["clf-scan-samples", "distortion-n-max", "family-n-min-above-n-max"],
+)
+def test_negative_sizes_are_parse_errors(capsys, argv):
+    # an empty range of sizes is a bad argument, not an empty CSV
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "parse error" in err
+
+
 def _s22(letters):
     return {"r": 2, "d": 2, "word": letters}
 

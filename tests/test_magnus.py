@@ -951,8 +951,8 @@ def test_solvable_conjugacy_examples():
 
 
 def test_solvable_conjugacy_depth3():
-    # the recursion one level up: base parts live in S_{2,2}, whose bounded
-    # power searches sort support points into cosets
+    # the recursion one level up: base parts live in S_{2,2}, where exact
+    # power membership sorts support points into cosets
     S3 = solvable_group(2, 3)
     u = S3.from_word(FreeWord(2, (1,)))
     gamma = S3.from_word(FreeWord(2, (2, 1)))
@@ -999,14 +999,68 @@ def test_depth3_decisions_take_no_lengths(monkeypatch):
 
 def test_solvable_conjugator_in_the_derived_subgroup():
     # u has base part e, so the lamp part of a conjugator is free: the
-    # conjugator is the lift of the candidate base part, an element of S_{2,2}
+    # conjugator is the lift of the candidate base part, an element of S_{2,2},
+    # and the decision's witness is its form, an image (not the wreath's (0, z))
     u = S22.from_word(FreeWord(2, (-2, -1, 2, 1)))
     g = S22.from_word(FreeWord(2, (2, 2)))
     v = S22.multiply(S22.multiply(S22.invert(g), u), g)
     z = S22.conjugator(u, v)
     assert S22.key(S22.multiply(u, z)) == S22.key(S22.multiply(z, v))
     assert magnus_embed(z.word, Z2) == z.form
+    res = solvable_conjugacy_test(u, v)
+    assert res.conjugate and res.complete and res.case == "scan"
+    assert divergence_of(res.witness) == {(0, 0): 1, (0, 2): -1} and res.witness.key() == z.form.key()
     assert S22.conjugator(u, S22.from_word(FreeWord(2, (1, 2, -1, -2)))) is None
+
+
+def _is_image(w):
+    """Whether the wreath element w is a Magnus image: its edge flow runs
+    from e to its base part."""
+    Q = w.base
+    ek, zk = Q.key(Q.identity), Q.key(w.b)
+    return divergence_of(w) == ({} if zk == ek else {ek: 1, zk: -1})
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_decision_witnesses_are_verified_image_conjugators(monkeypatch, d):
+    # each decision runs wreath.conjugacy_test once on the pair's forms (an
+    # inert pair's base conjugator recurses one level down), and its witness
+    # is the form of S.conjugator's verified element; for base part b != e
+    # every wreath conjugator of two images is an image, so the first spells
+    calls = []
+    decide = wreath.conjugacy_test
+
+    def counting(x, y):
+        calls.append(x.base is S.base)
+        return decide(x, y)
+
+    monkeypatch.setattr(wreath, "conjugacy_test", counting)
+    S = solvable_group(2, d)
+    ekey = S.base.key(S.base.identity)
+    rng = random.Random(90 + d)
+    lifted = scanned = 0
+    for i in range(60 if d == 2 else 30):
+        if i % 3 == 0:  # u != e in the derived subgroup of the base: b = e
+            w = FreeWord(2, ())
+            while S.from_word(w).is_identity:
+                p = random_word(2, rng.randint(0, 2), rng)
+                w = p * nested_commutator_sample(2, d - 1, rng) * p.inverse()
+        else:
+            w = random_word(2, rng.randint(1, 5), rng)
+        g = random_word(2, rng.randint(1, 3), rng)
+        u, v = S.from_word(w), S.from_word(g.inverse() * w * g)
+        calls.clear()
+        res = solvable_conjugacy_test(u, v)
+        z = S.conjugator(u, v)
+        assert sum(calls) == 2 and res.conjugate
+        assert _is_image(res.witness) and res.witness.key() == z.form.key()
+        if S.base.key(u.form.b) == ekey:
+            lifted += 1
+        else:
+            found = list(wreath.conjugators(u.form, v.form))
+            assert found and all(_is_image(x) for x in found)
+            scanned += len(found)
+    assert lifted > 0 and scanned > 0
 
 
 def test_non_inert_decision_tries_at_most_the_support(monkeypatch):
@@ -1056,8 +1110,8 @@ def test_solvable_conjugator_reuses_an_image_witness(monkeypatch):
 
 
 def test_conjugacy_finds_each_projecting_point_once(monkeypatch):
-    # over an S_{2,2} base every coset membership query takes a geodesic
-    # length and a power search, so v's projecting point is found only once
+    # a decision looks for a projecting point once per form: u's for the
+    # inert test, and v's once, shared by the case check and the candidates
     from magnuskit import wreath
 
     seen = []
